@@ -11,6 +11,7 @@ identical for any ``--threads`` value.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -371,13 +372,26 @@ def theorem1_row(
     }
 
 
+def _split_dist_specs(text: str) -> list[str]:
+    """Split a comma list of distribution specs.  A spec's parameters are
+    comma separated too, so a token with "=" but no ":" continues the
+    previous spec: "rademacher,bernoulli:p=0.75,v0=-3,v1=1" is two specs."""
+    specs: list[str] = []
+    for token in (t.strip() for t in text.split(",")):
+        if specs and "=" in token and ":" not in token:
+            specs[-1] += "," + token
+        elif token:
+            specs.append(token)
+    return specs
+
+
 def _exp_theorem1_matrix(spec: dict):
     dspecs = _need(spec, "dists")
     if isinstance(dspecs, str):
-        dspecs = [s.strip() for s in dspecs.split(",") if s.strip()]
+        dspecs = _split_dist_specs(dspecs)
     g_spec = _need(spec, "g")
     seed = int(spec.get("seed", 0))
-    threads = max(1, int(spec.get("threads", 1)))
+    threads = int(spec.get("threads", 1))
     a_grid = tuple(float(a) for a in spec.get("a_grid", (0.25, 0.5, 1.0)))
     kwargs = dict(
         a_grid=a_grid,
@@ -392,8 +406,9 @@ def _exp_theorem1_matrix(spec: dict):
         return theorem1_row(ds, g_spec, seed=_rng.derive_seed(seed, _rng.STREAM_CELL, idx), **kwargs)
 
     jobs = list(enumerate(dspecs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell, jobs))
     else:
         rows = [_cell(j) for j in jobs]
@@ -432,6 +447,9 @@ def run_experiment(spec: dict):
     handler = _HANDLERS.get(kind)
     if handler is None:
         raise ConfigurationError(f"unknown experiment kind {kind!r}")
+    threads = spec.get("threads", 1)
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigurationError(f"threads must be an integer of at least 1, got {threads!r}")
     return handler(spec)
 
 
@@ -447,7 +465,7 @@ def _finish(ctx, payload, code):
         with open(opts["out"], "wb") as fh:
             fh.write(data)
     else:
-        click.echo(data.decode(), nl=False)
+        click.echo(data, nl=False)
     sys.exit(code)
 
 
@@ -466,7 +484,8 @@ def _run(ctx, spec):
 @click.option("--out", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Root seed; cell seeds derive from it.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for matrix cells.")
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Worker threads for matrix cells (at least 1; capped at cells and cores).")
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp field to the report.")
 @click.pass_context
 def main(ctx, out, fmt, seed, threads, stamp):
@@ -583,7 +602,8 @@ def cmd_sprt_sweep(ctx, config_path, errors, g_spec, true_index, reps):
 
 
 @main.command("theorem1-matrix")
-@click.option("--dists", required=True, help="Comma list of distribution specs.")
+@click.option("--dists", required=True,
+              help='Comma list of distribution specs, e.g. "rademacher,bernoulli:p=0.75,v0=-3,v1=1".')
 @click.option("--g", "g_spec", required=True)
 @click.option("--a-grid", default="0.25,0.5,1.0", show_default=True)
 @click.option("--reps", type=int, default=20_000, show_default=True)

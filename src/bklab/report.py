@@ -1,40 +1,71 @@
 """Deterministic JSON/CSV report emission.
 
-Field order is the insertion order of the payload dict, floats are printed
-with 17 significant digits (lossless for float64), and numpy scalars are
-converted up front, so re-running a spec with the same seed yields
-byte-identical output.  The optional timestamp is off by default and always
-excluded by ``canonical_bytes`` for comparisons.
+``render_json`` and ``render_csv`` make a single pass over the payload: they
+walk it once, append string chunks to one list and join it at the end.
+numpy scalars and arrays are converted where the walk meets them (arrays
+through ``tolist``), so the payload is never copied.  A list of rows that all
+have the same width and hold only plain finite floats (the CSV projections,
+series blocks) is rendered with one precomputed ``%.17g`` template; every
+other list is rendered element by element.  The shape of the data picks the
+path; both give the same bytes.
+
+What the output guarantees, for a given payload:
+
+- dict fields appear in insertion order; keys are written as ``str(key)``,
+  unescaped;
+- floats carry 17 significant digits (lossless for float64); in JSON nan and
+  ±inf are the strings ``"nan"``, ``"inf"``, ``"-inf"``, in CSV they are bare;
+- numpy integer, floating and bool scalars are written as the Python int,
+  float and bool they convert to; tuples and arrays are written as lists;
+- JSON is indented by two spaces, one element per line, with a final
+  newline; CSV cells are scalars, each written with ``str`` unless it is a
+  float.
+
+So re-running a spec with the same seed yields byte-identical output.  The
+optional timestamp is off by default and always excluded by
+``canonical_bytes`` for comparisons.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 
 import numpy as np
 
 SCHEMA_VERSION = "bklab-report/1"
 
+_FLOAT = "%.17g"
 
-def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars into plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+
+def _plain(x):
+    """A numpy scalar as the Python scalar it converts to; anything else as is."""
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    return x
+
+
+def _float_rows(rows) -> tuple | None:
+    """The cells of ``rows`` in row order when it is a non-empty list of rows
+    (lists or tuples) of one width >= 1 holding only plain finite floats;
+    otherwise None."""
+    if not rows or not set(map(type, rows)) <= {list, tuple}:
+        return None
+    if len(set(map(len, rows))) != 1 or not rows[0]:
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
+        return None
+    return cells
 
 
 def _render_scalar(x) -> str:
+    x = _plain(x)
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -46,42 +77,74 @@ def _render_scalar(x) -> str:
             return '"nan"'
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
-        return f"{x:.17g}"
+        return _FLOAT % x
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``pad`` is the indentation
+    of the line on which ``obj`` starts."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_render(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _render_scalar(obj)
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for k, v in obj.items():
+            out.append(f'{sep}{inner}"{str(k)}": ')
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+        return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if not isinstance(obj, (list, tuple)):
+        out.append(_render_scalar(obj))
+        return
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    cells = _float_rows(obj)
+    if cells is not None:
+        cell = f"{inner}  {_FLOAT}"
+        row = f"{inner}[\n" + ",\n".join([cell] * len(obj[0])) + f"\n{inner}]"
+        out.extend(("[\n", ",\n".join([row] * len(obj)) % cells, f"\n{pad}]"))
+        return
+    sep = "[\n"
+    for v in obj:
+        out.append(sep + inner)
+        _write(v, inner, out)
+        sep = ",\n"
+    out.append(f"\n{pad}]")
 
 
 def render_json(payload: dict) -> bytes:
-    return (_render(to_jsonable(payload), 0) + "\n").encode()
+    out: list[str] = []
+    _write(payload, "", out)
+    out.append("\n")
+    return "".join(out).encode()
 
 
-def render_csv(header: list[str], rows: list) -> bytes:
-    def cell(x) -> str:
-        if isinstance(x, float):
-            return f"{x:.17g}"
-        return str(x)
+def _csv_cell(x) -> str:
+    x = _plain(x)
+    return _FLOAT % x if isinstance(x, float) else str(x)
 
+
+def render_csv(header: list[str], rows) -> bytes:
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell(c) for c in row))
+    cells = _float_rows(rows)
+    if cells is not None:
+        row = ",".join([_FLOAT] * len(rows[0]))
+        lines.append("\n".join([row] * len(rows)) % cells)
+    else:
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            lines.append(",".join(map(_csv_cell, row)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -97,7 +160,7 @@ def emit(payload: dict, fmt: str = "json", *, stamp: bool = False) -> bytes:
         rows = payload.get("csv_rows")
         if header is None or rows is None:
             raise ValueError("payload has no CSV projection")
-        return render_csv(list(header), to_jsonable(rows))
+        return render_csv(list(header), rows)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -120,5 +183,5 @@ def bound_report_payload(report, *, stamp: bool = False) -> dict:
         "holds_within": report.holds_within,
         "seed": report.seed,
         "schema": SCHEMA_VERSION,
-        "details": to_jsonable(report.details),
+        "details": dict(report.details),
     }

@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bklab import cli
 from bklab.bounds import BoundReport
 from bklab.cli import main, run_experiment, theorem1_row
 from bklab.errors import ConfigurationError
@@ -220,3 +223,205 @@ def test_cli_theorem1_thread_count_invariance(tmp_path):
     assert res1.output == res2.output
     res3 = runner.invoke(main, ["--seed", "43", "--threads", "1"] + args)
     assert res3.output != res1.output
+
+
+def test_cli_theorem1_dists_with_comma_parameters():
+    # the bernoulli spec's own parameters are comma separated too
+    runner = CliRunner()
+    res = runner.invoke(
+        main,
+        ["theorem1-matrix", "--dists", "rademacher,bernoulli:p=0.75,v0=-3,v1=1",
+         "--g", "power:r=1", "--a-grid", "1.0", "--reps", "1000",
+         "--horizon", "512", "--n-max", "512", "--reps-per-block", "500"],
+    )
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert [r["dist"] for r in data["rows"]] == ["rademacher", "bernoulli:p=0.75,v0=-3,v1=1"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exits_2(threads):
+    runner = CliRunner()
+    res = runner.invoke(main, ["--threads", threads, "counterexample", "--prefix", "10"])
+    assert res.exit_code == 2
+    assert "threads must be an integer of at least 1" in res.output
+
+
+def test_run_experiment_rejects_non_integer_threads():
+    with pytest.raises(ConfigurationError):
+        run_experiment({"kind": "counterexample", "prefix": 10, "threads": "two"})
+
+
+@pytest.mark.parametrize(
+    "threads,cells,cores,expected",
+    [(64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 4, 1, None)],
+)
+def test_matrix_pool_capped_at_cells_and_cores(monkeypatch, threads, cells, cores, expected):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and runs the cells inline: no thread starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def fake_row(dist_spec, g_spec, **kwargs):
+        return {"dist": dist_spec, "verdict_a": "finite", "verdict_b": "finite",
+                "verdict_c": "finite", "consistent": True}
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "theorem1_row", fake_row)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    dists = [f"uniform:w={k + 1}" for k in range(cells)]
+    payload, code = run_experiment(
+        {"kind": "theorem1-matrix", "dists": dists, "g": "power:r=1", "threads": threads}
+    )
+    assert code == 0 and [r["dist"] for r in payload["rows"]] == dists
+    assert sizes == ([] if expected is None else [expected])
+
+
+# ---------------------------------------------------------------------------
+# Byte identity against the recursive serializer the single pass replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_to_jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _ref_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_ref_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _ref_render_scalar(x) -> str:
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return f"{x:.17g}"
+    if isinstance(x, str):
+        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _ref_render(obj, indent: int) -> str:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {_ref_render(v, indent + 1)}' for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_ref_render(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return _ref_render_scalar(obj)
+
+
+def _ref_render_json(payload) -> bytes:
+    return (_ref_render(_ref_to_jsonable(payload), 0) + "\n").encode()
+
+
+def _ref_render_csv(header, rows) -> bytes:
+    def cell(x) -> str:
+        if isinstance(x, float):
+            return f"{x:.17g}"
+        return str(x)
+
+    lines = [",".join(header)]
+    for row in _ref_to_jsonable(rows):
+        lines.append(",".join(cell(c) for c in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_same_bytes(payload):
+    assert render_json(payload) == _ref_render_json(payload)
+    assert emit(payload) == _ref_render_json(payload)
+    if "csv_rows" in payload:
+        ref = _ref_render_csv(list(payload["csv_header"]), payload["csv_rows"])
+        assert render_csv(list(payload["csv_header"]), payload["csv_rows"]) == ref
+        assert emit(payload, "csv") == ref
+
+
+_SPRT_CONF = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]],
+              "levels": [20.0, 20.0], "stream": [1] * 40}
+
+# the criterion-9 specs, one per report kind
+_KIND_SPECS = [
+    {"kind": "moderate-audit", "g": "exp:b=1", "t_max": 100},
+    {"kind": "last-exit", "dist": "rademacher", "g": "power:r=1", "a": 1.0,
+     "horizon": 256, "reps": 2000},
+    {"kind": "series", "dist": "gaussian:sigma=1", "g": "power:r=1", "a": 0.5,
+     "n_max": 512, "reps_per_block": 1000},
+    {"kind": "bounds", "prop": "1", "dist": "rademacher", "g": "power:r=2",
+     "horizon": 256, "reps": 1000},
+    {"kind": "counterexample", "g": "exp:b=1", "prefix": 2000},
+    {"kind": "sprt-run", "config": _SPRT_CONF},
+    {"kind": "sprt-sweep", "config": _SPRT_CONF, "errors": [1e-1, 1e-2], "reps": 1000},
+    {"kind": "theorem1-matrix", "dists": "rademacher,gaussian:sigma=1", "g": "power:r=1",
+     "a_grid": [0.5, 1.0], "reps": 1000, "horizon": 256, "n_max": 256,
+     "reps_per_block": 500},
+]
+
+
+@pytest.mark.parametrize("spec", _KIND_SPECS, ids=[s["kind"] for s in _KIND_SPECS])
+def test_single_pass_matches_reference_on_every_report_kind(spec):
+    payload, _ = run_experiment({"seed": 7, **spec})
+    _assert_same_bytes(payload)
+
+
+def test_single_pass_matches_reference_on_edge_cases():
+    nan, inf = float("nan"), float("inf")
+    payload = {
+        "floats": [nan, inf, -inf, -0.0, 0.1, 1e300, 5e-324],
+        "numpy": [np.float32(0.1), np.float64(2.5), np.int64(-7), np.bool_(True),
+                  np.bool_(False)],
+        "bool_in_float_row": [[1.0, 2.0], [True, 3.0]],
+        "ragged": [[1.0, 2.0], [3.0]],
+        "row_with_nan": [[1.0, nan], [2.0, 3.0]],
+        "row_with_inf": [[1.0, 2.0], [-inf, 3.0]],
+        "numpy_row": [[1.0, np.float64(2.0)]],
+        "tuples": ((1.0, 2.0), (3.0, 4.0)),
+        "mixed_rows": [[1.0, 2.0], (3.0, 4.0)],
+        "empties": [[], {}, [[]], [[], []]],
+        "ndarray": np.arange(6, dtype=np.float64).reshape(3, 2) / 7.0,
+        "ndarray_f32": np.linspace(0, 1, 4, dtype=np.float32),
+        "ndarray_int": np.arange(3),
+        "strings": ['quote " here', "back\\slash", "", 'both \\"'],
+        "nested": [{"rows": [[0.5, 1.5, 2.5]] * 3, 7: None}, [[[1.0]]]],
+        "scalars": [None, True, False, 0, -1, 2**70, "s"],
+        "csv_header": ["a", "b"],
+        "csv_rows": [[0.1, nan], [np.float32(0.1), inf], [np.int64(3), np.bool_(True)],
+                     (True, None), ["x", -0.0], np.array([1.0, 2.0])],
+    }
+    _assert_same_bytes(payload)
+    for rows in ([[0.1, 0.2]] * 4, [[0.1, nan]] * 2, [[1.0], [2.0, 3.0]], [],
+                 np.arange(6.0).reshape(2, 3) / 3.0):
+        _assert_same_bytes({"csv_header": ["a", "b", "c"], "csv_rows": rows})
