@@ -58,6 +58,20 @@ def _need(spec: dict, key: str):
     return spec[key]
 
 
+def _field(spec: dict, key: str, convert, default=None):
+    """``convert(spec[key])``, or ``convert(default)`` for an absent field (a
+    default of None makes it required); a rejected value is a configuration error."""
+    value = _need(spec, key) if default is None else spec.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"experiment spec field {key!r} has an invalid value {value!r}") from None
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Experiment handlers
 # ---------------------------------------------------------------------------
@@ -68,17 +82,18 @@ def _exp_moderate_audit(spec: dict):
     grid = DEFAULT_AUDIT_GRID
     if "t_max" in spec or "t_min" in spec:
         grid = GridSpec(
-            float(spec.get("t_min", 1e-2)),
-            float(spec.get("t_max", 1e6)),
-            int(spec.get("points", 321)),
+            _field(spec, "t_min", float, 1e-2),
+            _field(spec, "t_max", float, 1e6),
+            _field(spec, "points", int, 321),
             "geometric",
         )
-    rep = doubling_ratio_sup(g, grid, float(spec.get("growth_threshold", 1.5)))
-    verdict = is_moderate_numeric(g, grid, float(spec.get("growth_threshold", 1.5)))
+    threshold = _field(spec, "growth_threshold", float, 1.5)
+    rep = doubling_ratio_sup(g, grid, threshold)
+    verdict = is_moderate_numeric(g, grid, threshold)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "moderate-audit",
-        "seed": int(spec.get("seed", 0)),
+        "seed": _field(spec, "seed", int, 0),
         "name": g.spec_string(),
         "grid": {"t_min": grid.t_min, "t_max": grid.t_max, "points": grid.points},
         "ratio_max": rep.grid_max,
@@ -93,12 +108,12 @@ def _exp_moderate_audit(spec: dict):
 def _exp_last_exit(spec: dict):
     dist = parse_dist_spec(_need(spec, "dist"))
     g = parse_function_spec(_need(spec, "g"))
-    a = float(_need(spec, "a"))
+    a = _field(spec, "a", float)
     cfg = PathConfig(
-        horizon=int(spec.get("horizon", 2**12)),
-        replicates=int(spec.get("reps", 20_000)),
-        seed=int(spec.get("seed", 0)),
-        center=float(spec.get("center", 0.0)),
+        horizon=_field(spec, "horizon", int, 2**12),
+        replicates=_field(spec, "reps", int, 20_000),
+        seed=_field(spec, "seed", int, 0),
+        center=_field(spec, "center", float, 0.0),
     )
     est = estimate_EG_lastexit(dist, g, a, cfg)
     payload = {
@@ -121,14 +136,14 @@ def _exp_last_exit(spec: dict):
 def _exp_series(spec: dict):
     dist = parse_dist_spec(_need(spec, "dist"))
     g = parse_function_spec(_need(spec, "g"))
-    a = float(_need(spec, "a"))
-    seed = int(spec.get("seed", 0))
+    a = _field(spec, "a", float)
+    seed = _field(spec, "seed", int, 0)
     est = estimate_series(
         dist,
         g,
         a,
-        int(spec.get("n_max", 2**14)),
-        int(spec.get("reps_per_block", 10_000)),
+        _field(spec, "n_max", int, 2**14),
+        _field(spec, "reps_per_block", int, 10_000),
         seed,
     )
     blocks = [
@@ -159,33 +174,29 @@ def _exp_bounds(spec: dict):
     prop = str(_need(spec, "prop"))
     dist = parse_dist_spec(_need(spec, "dist"))
     g = parse_function_spec(_need(spec, "g"))
-    seed = int(spec.get("seed", 0))
+    seed = _field(spec, "seed", int, 0)
     cfg = PathConfig(
-        horizon=int(spec.get("horizon", 2**13)),
-        replicates=int(spec.get("reps", 20_000)),
+        horizon=_field(spec, "horizon", int, 2**13),
+        replicates=_field(spec, "reps", int, 20_000),
         seed=seed,
     )
+    n_max = _field(spec, "n_max", int, 2**14)
+    reps_per_block = _field(spec, "reps_per_block", int, 10_000)
     if prop == "1":
-        report = prop1_check(dist, g, float(spec.get("alpha", 0.5)), cfg)
+        report = prop1_check(dist, g, _field(spec, "alpha", float, 0.5), cfg)
     elif prop == "2":
         report = prop2_check(
             dist,
             g,
-            int(spec["p"]) if spec.get("p") else None,
-            n_max=int(spec.get("n_max", 2**14)),
-            reps_per_block=int(spec.get("reps_per_block", 10_000)),
+            _field(spec, "p", int) if spec.get("p") else None,
+            n_max=n_max,
+            reps_per_block=reps_per_block,
             seed=seed,
         )
     elif prop == "3":
-        report = prop3_check(
-            dist,
-            g,
-            cfg,
-            n_max=int(spec.get("n_max", 2**14)),
-            reps_per_block=int(spec.get("reps_per_block", 10_000)),
-        )
+        report = prop3_check(dist, g, cfg, n_max=n_max, reps_per_block=reps_per_block)
     elif prop == "sym":
-        reports = sym_transfer_check(dist, g, cfg, a=float(spec.get("a", 1.0)))
+        reports = sym_transfer_check(dist, g, cfg, a=_field(spec, "a", float, 1.0))
         all_pass = all(r.passed for r in reports)
         payload = {
             "schema": SCHEMA_VERSION,
@@ -205,7 +216,7 @@ def _exp_bounds(spec: dict):
 
 def _exp_counterexample(spec: dict):
     g = parse_function_spec(_need(spec, "g"))
-    prefix = int(spec.get("prefix", 100_000))
+    prefix = _field(spec, "prefix", int, 100_000)
     dist = counterexample_dist(g, prefix)
     law = dist.law
     own = moment_xg(dist, g)
@@ -215,7 +226,7 @@ def _exp_counterexample(spec: dict):
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "counterexample",
-        "seed": int(spec.get("seed", 0)),
+        "seed": _field(spec, "seed", int, 0),
         "G": g.spec_string(),
         "prefix": prefix,
         "c": law.c,
@@ -236,9 +247,9 @@ def _exp_counterexample(spec: dict):
 
 def _hypotheses_from_config(conf: dict) -> HypothesisSet:
     return HypothesisSet(
-        alphabet=tuple(float(v) for v in _need(conf, "alphabet")),
-        masses=tuple(tuple(float(p) for p in row) for row in _need(conf, "hypotheses")),
-        reference=tuple(conf["reference"]) if conf.get("reference") else None,
+        alphabet=_field(conf, "alphabet", _floats),
+        masses=_field(conf, "hypotheses", lambda rows: tuple(_floats(r) for r in rows)),
+        reference=_field(conf, "reference", _floats) if conf.get("reference") else None,
         strict=bool(conf.get("strict", True)),
     )
 
@@ -246,22 +257,23 @@ def _hypotheses_from_config(conf: dict) -> HypothesisSet:
 def _exp_sprt_run(spec: dict):
     conf = _need(spec, "config")
     hyp = _hypotheses_from_config(conf)
-    levels = tuple(float(c) for c in _need(conf, "levels"))
-    horizon = int(spec.get("horizon", conf.get("horizon", 4096)))
+    levels = _field(conf, "levels", _floats)
+    seed = _field(spec, "seed", int, 0)
+    horizon = _field(spec, "horizon", int, conf.get("horizon", 4096))
     if "stream" in spec or "stream" in conf:
-        stream = [float(y) for y in spec.get("stream", conf.get("stream"))]
+        stream = _field(spec, "stream", _floats, conf.get("stream"))
     else:
         sim = spec.get("simulate", conf.get("simulate"))
         if not sim:
             raise ConfigurationError("sprt-run needs a stream or a simulate block")
-        gen = _rng.substream(int(spec.get("seed", 0)), _rng.STREAM_SPRT, 99)
-        idx = hyp.sample_indices(gen, int(_need(sim, "true_index")), horizon)
+        gen = _rng.substream(seed, _rng.STREAM_SPRT, 99)
+        idx = hyp.sample_indices(gen, _field(sim, "true_index", int), horizon)
         stream = [hyp.alphabet[k] for k in idx]
     record = run_test(hyp, levels, iter(stream), horizon)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "sprt-run",
-        "seed": int(spec.get("seed", 0)),
+        "seed": seed,
         "levels": list(levels),
         "horizon": horizon,
         "tau": record.tau,
@@ -277,20 +289,22 @@ def _exp_sprt_sweep(spec: dict):
     conf = _need(spec, "config")
     hyp = _hypotheses_from_config(conf)
     g = parse_function_spec(spec.get("g", "power:r=1"))
+    true_index = _field(spec, "true_index", int, 0)
+    seed = _field(spec, "seed", int, 0)
     rows = optimality_sweep(
         hyp,
-        [float(a) for a in _need(spec, "errors")],
-        int(spec.get("true_index", 0)),
+        _field(spec, "errors", _floats),
+        true_index,
         g,
-        int(spec.get("reps", 20_000)),
-        int(spec.get("seed", 0)),
+        _field(spec, "reps", int, 20_000),
+        seed,
     )
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "sprt-sweep",
         "G": g.spec_string(),
-        "true_index": int(spec.get("true_index", 0)),
-        "seed": int(spec.get("seed", 0)),
+        "true_index": true_index,
+        "seed": seed,
         "rows": [
             {
                 "target_error": r.target_error,
@@ -390,15 +404,13 @@ def _exp_theorem1_matrix(spec: dict):
     if isinstance(dspecs, str):
         dspecs = _split_dist_specs(dspecs)
     g_spec = _need(spec, "g")
-    seed = int(spec.get("seed", 0))
-    threads = int(spec.get("threads", 1))
-    a_grid = tuple(float(a) for a in spec.get("a_grid", (0.25, 0.5, 1.0)))
+    seed = _field(spec, "seed", int, 0)
     kwargs = dict(
-        a_grid=a_grid,
-        reps=int(spec.get("reps", 20_000)),
-        horizon=int(spec.get("horizon", 2**13)),
-        n_max=int(spec.get("n_max", 2**14)),
-        reps_per_block=int(spec.get("reps_per_block", 10_000)),
+        a_grid=_field(spec, "a_grid", _floats, (0.25, 0.5, 1.0)),
+        reps=_field(spec, "reps", int, 20_000),
+        horizon=_field(spec, "horizon", int, 2**13),
+        n_max=_field(spec, "n_max", int, 2**14),
+        reps_per_block=_field(spec, "reps_per_block", int, 10_000),
     )
 
     def _cell(idx_spec):
@@ -406,7 +418,7 @@ def _exp_theorem1_matrix(spec: dict):
         return theorem1_row(ds, g_spec, seed=_rng.derive_seed(seed, _rng.STREAM_CELL, idx), **kwargs)
 
     jobs = list(enumerate(dspecs))
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(spec.get("threads", 1), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell, jobs))

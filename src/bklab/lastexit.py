@@ -2,10 +2,11 @@
 time, the deviation series sum n^-1 G(n) P[|S_n/n| >= a], and the Levy
 maximal-inequality audit.
 
-Paths are generated in fixed-size replicate blocks, each on its own
-counter-based substream, and consumed in fixed step chunks with running
-sums only.  Results are therefore identical for a fixed seed no matter how
-many workers schedule the blocks, and memory stays bounded by one block.
+Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
+blocks on their own substreams, consumed in step chunks with running sums
+only.  Results are therefore identical for a fixed seed no matter how many
+workers schedule the blocks, and memory stays bounded by one chunk of one
+block.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -25,8 +26,6 @@ from .distributions import Distribution
 from .errors import DataError, DomainError, PreconditionError
 from .functions import ModerateFunction
 
-_BLOCK_PATHS = 4096
-_CHUNK_STEPS = 2048
 _SEG_STEPS = 256
 
 CONVERGING = "converging-evidence"
@@ -77,13 +76,9 @@ class EGEstimate:
     replicates: int
 
 
-def _blocks(reps: int):
-    start, b = 0, 0
-    while start < reps:
-        size = min(_BLOCK_PATHS, reps - start)
-        yield b, start, size
-        start += size
-        b += 1
+def _f32(dist: Distribution):
+    """The float32 sampler of ``dist`` as an ``rng.walk`` draw."""
+    return lambda gen, n: dist.sample_array(gen, n, np.float32)
 
 
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
@@ -112,14 +107,11 @@ def last_exit_samples(
         raise DomainError("a must be positive")
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
     values = np.zeros(reps, dtype=np.int64)
-    for b, start, size in _blocks(reps):
-        gen = _rng.substream(cfg.seed, _rng.STREAM_LASTEXIT, stream, b)
+    for start, size, gen in _rng.blocks(reps, cfg.seed, _rng.STREAM_LASTEXIT, stream):
         running = np.zeros(size)
-        last = np.zeros(size, dtype=np.int64)
-        n0 = 1
-        while n0 <= horizon:
-            steps = min(_CHUNK_STEPS, horizon - n0 + 1)
-            draws = dist.sample_array(gen, size * steps, np.float32).reshape(size, steps)
+        last = values[start : start + size]
+        for n0, draws in _rng.walk(_f32(dist), size, gen, horizon):
+            steps = draws.shape[1]
             # Per-segment exclusion: within a segment starting at m0,
             # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that
             # stays below a*m0 the segment cannot contain a deviation and
@@ -141,9 +133,7 @@ def last_exit_samples(
                 hit = dev.any(axis=1)
                 if hit.any():
                     lastpos = (j1 - j0) - 1 - np.argmax(dev[:, ::-1], axis=1)
-                    last = np.where(hit, m0 + lastpos, last)
-            n0 += steps
-        values[start : start + size] = last
+                    np.copyto(last, m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
     return LastExitBatch(values, censored)
 
@@ -230,15 +220,10 @@ def tail_prob_mean(
     if dist.atoms() is not None and n <= 20:
         return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
     count = 0
-    for b, _start, size in _blocks(reps):
-        gen = _rng.substream(seed, _rng.STREAM_TAILPROB, b)
+    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
         total = np.zeros(size)
-        done = 0
-        while done < n:
-            steps = min(_CHUNK_STEPS, n - done)
-            chunk = dist.sample_array(gen, size * steps, np.float32).reshape(size, steps)
-            total += chunk.sum(axis=1, dtype=np.float64)
-            done += steps
+        for _n0, draws in _rng.walk(_f32(dist), size, gen, n):
+            total += draws.sum(axis=1, dtype=np.float64)
         count += int(np.count_nonzero(np.abs(total) / n >= a))
     p = count / reps
     return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
@@ -291,41 +276,34 @@ def deviation_profile(
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     n_small = min(n_small, n_max)
-    if n_small > _CHUNK_STEPS:
+    if n_small > _rng.CHUNK:
         raise DomainError("n_small must fit inside one step chunk")
     endpoints = _series_endpoints(n_small, n_max) if n_max > n_small else np.asarray([], dtype=np.int64)
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream)
     small = np.zeros((reps, n_small))
     epvals = np.zeros((reps, len(endpoints)))
-    for b, start, size in _blocks(reps):
-        gen = _rng.substream(seed, _rng.STREAM_SERIES, stream, b)
+    # Walk to n_max rounded up to whole chunks and read only the steps up to
+    # n_max: the per-path layout, and hence every recorded value, is then a
+    # prefix of the same run at a larger n_max.
+    n_walk = -(-n_max // _rng.CHUNK) * _rng.CHUNK
+    for start, size, gen in layout:
         running = np.zeros(size)
-        n0 = 1
-        while n0 <= n_max:
-            steps = min(_CHUNK_STEPS, n_max - n0 + 1)
-            # Always draw a full chunk so that the per-path layout, and hence
-            # every recorded value, is a prefix of the same run at larger n_max.
-            draws = dist.sample_array(gen, size * _CHUNK_STEPS, np.float32).reshape(
-                size, _CHUNK_STEPS
-            )[:, :steps]
+        for n0, draws in _rng.walk(_f32(dist), size, gen, n_walk):
+            steps = min(draws.shape[1], n_max - n0 + 1)
+            draws = draws[:, :steps]
             if n0 == 1:
-                take = min(n_small, steps)
-                cums_small = np.cumsum(draws[:, :take], axis=1, dtype=np.float64)
-                small[start : start + size, :take] = cums_small / np.arange(
-                    1, take + 1, dtype=float
-                )
+                cums_small = np.cumsum(draws[:, :n_small], axis=1, dtype=np.float64)
+                small[start : start + size] = cums_small / np.arange(1, n_small + 1, dtype=float)
             # Only checkpoint prefixes are needed; walk segment sums instead
             # of materializing the full cumsum.
             pos = 0
-            if len(endpoints):
-                in_chunk = np.nonzero((endpoints >= n0) & (endpoints < n0 + steps))[0]
-                for k in in_chunk:
-                    j = int(endpoints[k]) - n0 + 1
-                    running = running + draws[:, pos:j].sum(axis=1, dtype=np.float64)
-                    epvals[start : start + size, k] = running / float(endpoints[k])
-                    pos = j
+            for k in np.nonzero((endpoints >= n0) & (endpoints < n0 + steps))[0]:
+                j = int(endpoints[k]) - n0 + 1
+                running = running + draws[:, pos:j].sum(axis=1, dtype=np.float64)
+                epvals[start : start + size, k] = running / float(endpoints[k])
+                pos = j
             if pos < steps:
                 running = running + draws[:, pos:].sum(axis=1, dtype=np.float64)
-            n0 += steps
     return DeviationProfile(
         dist_spec=dist.spec_string(),
         n_small=n_small,
@@ -538,22 +516,14 @@ def levy_maximal_check(
 
     hit_max = 0
     hit_end = 0
-    for b, _start, size in _blocks(reps):
-        gen = _rng.substream(seed, _rng.STREAM_LEVY, b)
+    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_LEVY):
         running = np.zeros(size)
         runmax = np.zeros(size)
-        done = 0
-        while done < m:
-            steps = min(_CHUNK_STEPS, m - done)
-            cums = np.cumsum(
-                dist.sample_array(gen, size * steps, np.float32).reshape(size, steps),
-                axis=1,
-                dtype=np.float64,
-            )
+        for _n0, draws in _rng.walk(_f32(dist), size, gen, m):
+            cums = np.cumsum(draws, axis=1, dtype=np.float64)
             cums += running[:, None]
             runmax = np.maximum(runmax, np.abs(cums).max(axis=1))
             running = cums[:, -1].copy()
-            done += steps
         hit_max += int(np.count_nonzero(runmax >= t))
         hit_end += int(np.count_nonzero(np.abs(running) >= t))
     p_max = hit_max / reps

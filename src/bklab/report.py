@@ -170,7 +170,7 @@ def canonical_bytes(payload: dict, fmt: str = "json") -> bytes:
     return emit(payload, fmt, stamp=False)
 
 
-def bound_report_payload(report, *, stamp: bool = False) -> dict:
+def bound_report_payload(report) -> dict:
     """Stable field order for a bound audit: name, lhs, lhs_se, rhs, rhs_se,
     slack, holds_within, seed."""
     return {

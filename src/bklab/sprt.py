@@ -10,7 +10,7 @@ The reference defaults to the uniform mixture of the candidates, which is
 locally equivalent to each of them and keeps the log ratios bounded below;
 it can be overridden.  All arithmetic is in log space.  A run is strictly
 sequential in n (the stopping rule is adapted, no lookahead); replicated
-runs are independent block jobs on counter-based substreams.
+runs follow the stream layout of ``rng.blocks`` and ``rng.walk``.
 """
 
 from __future__ import annotations
@@ -229,18 +229,6 @@ def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord
 # Replicated runs (finite-alphabet fast path)
 # ---------------------------------------------------------------------------
 
-_BLOCK_RUNS = 4096
-
-
-def _blocks(reps: int):
-    start, b = 0, 0
-    while start < reps:
-        size = min(_BLOCK_RUNS, reps - start)
-        yield b, start, size
-        start += size
-        b += 1
-
-
 @dataclass(frozen=True)
 class BatchRuns:
     tau: np.ndarray  # int64, -1 when censored
@@ -266,18 +254,18 @@ def simulate_runs(
     inc = hyp._increments
     if np.any(np.isnan(inc[:, hyp._masses[true_index] > 0])):
         raise DataError("the true law puts mass outside every candidate support")
+    draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, stream)
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
-    for b, start, size in _blocks(reps):
-        gen = _rng.substream(seed, _rng.STREAM_SPRT, stream, b)
+    for start, size, gen in layout:
         log_r = np.zeros((m, size))
         rho = np.zeros((m, size), dtype=np.int64)
         done = np.zeros(size, dtype=bool)
-        tau_blk = np.full(size, -1, dtype=np.int64)
-        dec_blk = np.full(size, -1, dtype=np.int64)
-        for n in range(1, horizon + 1):
-            ys = hyp.sample_indices(gen, true_index, size)
-            log_r += inc[:, ys]
+        tau_blk = tau[start : start + size]
+        dec_blk = decision[start : start + size]
+        for n, ys in _rng.walk(draw, size, gen, horizon, chunk=1):
+            log_r += inc[:, ys[:, 0]]
             crossed = (log_r >= logc[:, None]) & (rho == _RHO_UNSET) & (~done)[None, :]
             if crossed.any():
                 rho[crossed] = n
@@ -290,8 +278,6 @@ def simulate_runs(
                 done |= newly
             if done.all():
                 break
-        tau[start : start + size] = tau_blk
-        decision[start : start + size] = dec_blk
     return BatchRuns(tau=tau, decision=decision, censored=tau < 0)
 
 
@@ -312,8 +298,6 @@ def estimate_errors(
 ) -> ErrorEstimate:
     """Fraction of non-censored runs under P_true deciding for a wrong
     hypothesis, with binomial standard error; NaN when every run censors."""
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
     runs = simulate_runs(hyp, levels, true_index, reps, horizon, seed)
     alive = ~runs.censored
     n_alive = int(alive.sum())
@@ -371,21 +355,16 @@ def rejection_rate(
         raise ConfigurationError("the level must exceed 1")
     logc = math.log(c_i)
     inc_i = hyp._increments[i]
+    draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
     crossed_total = 0
-    chunk = 1024
-    for b, _start, size in _blocks(reps):
-        gen = _rng.substream(seed, _rng.STREAM_SPRT_REJECT, b)
+    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT):
         carry = np.zeros(size)
         crossed = np.zeros(size, dtype=bool)
-        done = 0
-        while done < horizon:
-            steps = min(chunk, horizon - done)
-            ys = hyp.sample_indices(gen, i, size * steps).reshape(size, steps)
-            cums = np.cumsum(inc_i[ys], axis=1)
+        for _n0, incs in _rng.walk(draw, size, gen, horizon, chunk=1024):
+            cums = np.cumsum(incs, axis=1)
             cums += carry[:, None]
             crossed |= cums.max(axis=1) >= logc
             carry = cums[:, -1].copy()
-            done += steps
         crossed_total += int(np.count_nonzero(crossed))
     p = crossed_total / reps
     return p, math.sqrt(p * (1.0 - p) / reps)

@@ -173,6 +173,25 @@ def test_series_profile_reuse_matches_direct():
     assert d2.partial_sum >= d1.partial_sum  # larger G, same indicators
 
 
+@pytest.mark.parametrize(
+    "n_small,n_max,shared",
+    [
+        (64, 3000, [64, 128, 256, 512, 1024, 2048]),
+        (64, 100, [64]),  # a short run inside one chunk
+        (48, 3500, [48, 96, 192, 384, 768, 1536, 3072]),  # 3072 sits in the partial chunk
+    ],
+)
+def test_deviation_profile_is_prefix_of_longer_run(n_small, n_max, shared):
+    short = deviation_profile(Gaussian(1.0), n_max, 300, 17, n_small=n_small)
+    long = deviation_profile(Gaussian(1.0), 6144, 300, 17, n_small=n_small)
+    assert np.array_equal(short.small_values, long.small_values)
+
+    def at_shared(prof):
+        return prof.endpoint_values[:, [prof.endpoints.tolist().index(n) for n in shared]]
+
+    assert np.array_equal(at_shared(short), at_shared(long))
+
+
 def test_levy_exact_small_cases():
     rep = levy_maximal_check(rademacher(), 2, 2.0)
     assert rep.exact and rep.lhs == 0.5 and rep.rhs == 1.0 and rep.holds

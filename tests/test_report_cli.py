@@ -252,6 +252,34 @@ def test_run_experiment_rejects_non_integer_threads():
         run_experiment({"kind": "counterexample", "prefix": 10, "threads": "two"})
 
 
+def test_cli_series_zero_reps_exits_2():
+    runner = CliRunner()
+    res = runner.invoke(
+        main,
+        ["series", "--dist", "rademacher", "--g", "power:r=1", "--a", "0.5",
+         "--n-max", "128", "--reps-per-block", "0"],
+    )
+    assert res.exit_code == 2, res.output
+    assert "replicate count must be >= 1" in res.output
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"kind": "counterexample", "g": "exp:b=1", "prefix": "ten"}, "prefix"),
+        ({"kind": "last-exit", "dist": "rademacher", "g": "power:r=1", "a": 0.5,
+          "horizon": [64]}, "horizon"),
+        ({"kind": "series", "dist": "rademacher", "g": "power:r=1", "a": "half"}, "a"),
+    ],
+)
+def test_run_config_wrong_type_exits_2(tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"field {field!r} has an invalid value" in res.output
+
+
 @pytest.mark.parametrize(
     "threads,cells,cores,expected",
     [(64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 4, 1, None)],

@@ -13,7 +13,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from bklab import rng
 from bklab.distributions import parse_dist_spec
+from bklab.errors import DomainError
 from bklab.functions import power
 from bklab.lastexit import (
     PathConfig,
@@ -109,3 +111,40 @@ EXPECTED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stream_layout_pinned(case):
     assert CASES[case]() == EXPECTED[case]
+
+
+def test_blocks_layout():
+    layout = list(rng.blocks(REPS, 5, rng.STREAM_LEVY))
+    assert [(start, size) for start, size, _ in layout] == [(0, 4096), (4096, 4)]
+    assert layout[1][2].random() == rng.substream(5, rng.STREAM_LEVY, 1).random()
+
+
+def test_walk_chunks_row_major():
+    def draw(gen, n):
+        return np.arange(n)
+
+    chunks = list(rng.walk(draw, 2, None, 5, chunk=2))
+    assert [n0 for n0, _ in chunks] == [1, 3, 5]
+    assert [x.tolist() for _, x in chunks] == [[[0, 1], [2, 3]]] * 2 + [[[0], [1]]]
+
+
+@pytest.mark.parametrize("reps", [0, -5])
+def test_blocks_reject_empty_runs(reps):
+    with pytest.raises(DomainError, match="replicate count"):
+        rng.blocks(reps, 0, rng.STREAM_LEVY)
+
+
+@pytest.mark.parametrize("reps", [0, -5])
+def test_routines_reject_empty_runs(reps):
+    gauss = parse_dist_spec(GAUSS)
+    calls = [
+        lambda: tail_prob_mean(gauss, 50, 0.1, reps),
+        lambda: levy_maximal_check(gauss, 50, 1.0, reps),
+        lambda: deviation_profile(gauss, 100, reps),
+        lambda: estimate_series(parse_dist_spec("rademacher"), power(1), 0.5, 128, reps),
+        lambda: rejection_rate(HYP, 10.0, 0, reps, 100),
+        lambda: simulate_runs(HYP, 10.0, 0, reps, 100, 0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="replicate count"):
+            call()
