@@ -279,7 +279,7 @@ def deviation_profile(
     if n_small > _rng.CHUNK:
         raise DomainError("n_small must fit inside one step chunk")
     endpoints = _series_endpoints(n_small, n_max) if n_max > n_small else np.asarray([], dtype=np.int64)
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream)
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream)  # checks reps before np.zeros
     small = np.zeros((reps, n_small))
     epvals = np.zeros((reps, len(endpoints)))
     # Walk to n_max rounded up to whole chunks and read only the steps up to
@@ -419,7 +419,7 @@ def estimate_series(
     blocks: list[SeriesBlock] = []
     block_means: list[float] = []
     block_ses: list[float] = []
-    per_path_blocks = None
+    per_path_dyadic = None
     if n_max > n_small:
         if profile is None:
             profile = deviation_profile(
@@ -430,21 +430,21 @@ def estimate_series(
         eps = profile.endpoints
         ind_ep = np.abs(profile.endpoint_values) >= a
         reps = profile.reps
-        per_path_blocks = np.zeros(reps)
+        per_path_dyadic = np.zeros(reps)
         for k in range(len(eps) - 1):
             lo, hi = int(eps[k]), int(eps[k + 1])
             # Block k covers (e_k, e_{k+1}]: the head already owns n <= n_small.
             ns = np.arange(lo + 1, hi + 1, dtype=float)
             w_sum = float(np.sum(g.eval(ns) / ns))
             terms = w_sum * 0.5 * (ind_ep[:, k] + ind_ep[:, k + 1])
-            per_path_blocks += terms
+            per_path_dyadic += terms
             m = float(np.mean(terms))
             s = float(np.std(terms)) / math.sqrt(reps)
             blocks.append(SeriesBlock(lo, hi, m, s))
             block_means.append(m)
             block_ses.append(s)
 
-    parts = [p for p in (per_path_small, per_path_blocks) if p is not None]
+    parts = [p for p in (per_path_small, per_path_dyadic) if p is not None]
     if parts:
         per_path = sum(parts)
         mc_mean = float(np.mean(per_path))

@@ -255,7 +255,7 @@ def simulate_runs(
     if np.any(np.isnan(inc[:, hyp._masses[true_index] > 0])):
         raise DataError("the true law puts mass outside every candidate support")
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, stream)
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, stream)  # checks reps before np.full
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
     for start, size, gen in layout:
