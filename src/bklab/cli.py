@@ -1,11 +1,12 @@
 """Experiment orchestration and the ``bklab`` command line.
 
-Every subcommand builds an experiment spec (a plain dict, also loadable from
-``--config file.json``), dispatches it through ``run_experiment`` and emits a
-JSON or CSV report.  Exit codes: 0 pass/consistent, 1 fail/inconsistent,
-2 configuration error.  Matrix cells may run concurrently; each cell draws
-its seed from the root seed and the cell coordinates, so reports are
-identical for any ``--threads`` value.
+Each experiment kind is one entry of ``_KINDS``: a handler and its spec
+fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
+``run --config file.json``) against those fields, and every subcommand is
+built from them, one option per field, so both share names and defaults.
+Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
+Matrix cells may run concurrently; each cell draws its seed from the root
+seed and the cell coordinates, so reports are identical for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 import click
 import numpy as np
@@ -38,7 +42,10 @@ from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estim
 from .report import SCHEMA_VERSION, bound_report_payload, emit
 from .sprt import HypothesisSet, optimality_sweep, run_test
 
+SERIES_CSV_HEADER = ["lo", "hi", "contribution", "se"]
 SWEEP_CSV_HEADER = ["target_error", "c", "mean_G_tau", "reference_G", "ratio"]
+MATRIX_CSV_HEADER = ["dist", "verdict_a", "verdict_b", "verdict_c", "consistent"]
+DEFAULT_A_GRID = (0.25, 0.5, 1.0)
 
 _FINITE_WORDS = {"finite", "finite-evidence", "converging-evidence"}
 _DIVERGENT_WORDS = {"divergence-evidence", "diverging-evidence", "divergent-evidence"}
@@ -52,49 +59,129 @@ def _classify(verdict: str) -> str | None:
     return None
 
 
-def _need(spec: dict, key: str):
-    if key not in spec or spec[key] in (None, ""):
-        raise ConfigurationError(f"experiment spec is missing the field {key!r}")
-    return spec[key]
+_REQUIRED = object()
 
 
-def _field(spec: dict, key: str, convert, default=None):
-    """``convert(spec[key])``, or ``convert(default)`` for an absent field (a
-    default of None makes it required); a rejected value is a configuration error."""
-    value = _need(spec, key) if default is None else spec.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"experiment spec field {key!r} has an invalid value {value!r}") from None
+class _Field(NamedTuple):
+    """A spec field, read as ``convert(spec[key])``.  An absent, null or empty
+    value takes ``default`` (converted unless None) or, for a required field,
+    is an error.  A field without help is read from specs, not the command line."""
+
+    key: str
+    convert: Callable
+    default: object = _REQUIRED
+    help: str | None = None
+
+
+class _Kind(NamedTuple):
+    handler: Callable
+    fields: tuple
+    csv: bool = False  # whether the report has a CSV form
+
+
+def _parse(fields, spec: dict) -> SimpleNamespace:
+    """The converted values of ``fields`` in ``spec``; a missing required field
+    or a value its converter rejects is a configuration error naming it."""
+    values = {}
+    for key, convert, default, _ in fields:
+        value = spec.get(key)
+        if value is None or value == "":
+            if default is _REQUIRED:
+                raise ConfigurationError(f"experiment spec is missing the field {key!r}")
+            value = default
+        try:
+            values[key] = None if value is None else convert(value)
+        except LabError:
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"experiment spec field {key!r} has an invalid value {value!r}"
+            ) from None
+    return SimpleNamespace(**values)
 
 
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _float_list(values) -> tuple:
+    """A comma string (command line) or a JSON list (config) of floats."""
+    return _floats(values.split(",") if isinstance(values, str) else values)
+
+
+def _split_dist_specs(text) -> list[str]:
+    """Split a comma list of distribution specs (a JSON list is taken as it
+    is).  A spec's parameters are comma separated too, so a token with "=" but
+    no ":" continues the previous spec: "rademacher,bernoulli:p=0.75,v0=-3,v1=1"
+    is two specs."""
+    if not isinstance(text, str):
+        return list(text)
+    specs: list[str] = []
+    for token in (t.strip() for t in text.split(",")):
+        if specs and "=" in token and ":" not in token:
+            specs[-1] += "," + token
+        elif token:
+            specs.append(token)
+    return specs
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean")
+    return value
+
+
+def _threads(value) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"threads must be an integer of at least 1, got {value!r}")
+    return value
+
+
+def _sprt_config(*extra: _Field) -> Callable:
+    """Converter of an SPRT ``config`` object: its hypothesis fields and
+    ``extra``, plus the ``HypothesisSet`` they define as ``hyp``."""
+    fields = (
+        _Field("alphabet", _floats),
+        _Field("hypotheses", lambda rows: tuple(_floats(r) for r in rows)),
+        _Field("reference", _floats, None),
+        _Field("strict", _json_bool, True),
+    ) + extra
+
+    def convert(conf) -> SimpleNamespace:
+        v = _parse(fields, dict(conf))
+        v.hyp = HypothesisSet(alphabet=v.alphabet, masses=v.hypotheses,
+                              reference=v.reference, strict=v.strict)
+        return v
+
+    return convert
+
+
+_COMMON = (_Field("seed", int, 0), _Field("threads", _threads, 1))
+_SIMULATE = _Field("simulate", lambda b: _parse((_Field("true_index", int),), dict(b)), None)
+_DIST = _Field("dist", parse_dist_spec, _REQUIRED, 'Law spec, e.g. "pareto2:beta=1.5".')
+_G = _Field("g", parse_function_spec, _REQUIRED, 'Function spec, e.g. "power:r=2" or "exp:b=0.5".')
+_A = _Field("a", float, _REQUIRED, "Deviation level a.")
+_HORIZON = _Field("horizon", int, 2**13, "Steps simulated per path.")
+_REPS = _Field("reps", int, 20_000, "Replicate paths.")
+_N_MAX = _Field("n_max", int, 2**14, "Last term of the series partial sum.")
+_REPS_PER_BLOCK = _Field("reps_per_block", int, 10_000, "Paths of the deviation profile.")
+
+
 # ---------------------------------------------------------------------------
-# Experiment handlers
+# Experiment handlers: each takes the parsed fields of its kind
 # ---------------------------------------------------------------------------
 
 
-def _exp_moderate_audit(spec: dict):
-    g = parse_function_spec(_need(spec, "g"))
-    grid = DEFAULT_AUDIT_GRID
-    if "t_max" in spec or "t_min" in spec:
-        grid = GridSpec(
-            _field(spec, "t_min", float, 1e-2),
-            _field(spec, "t_max", float, 1e6),
-            _field(spec, "points", int, 321),
-            "geometric",
-        )
-    threshold = _field(spec, "growth_threshold", float, 1.5)
-    rep = doubling_ratio_sup(g, grid, threshold)
-    verdict = is_moderate_numeric(g, grid, threshold)
+def _exp_moderate_audit(v):
+    """Audit the doubling ratio of a growth function."""
+    grid = GridSpec(v.t_min, v.t_max, v.points, "geometric")
+    rep = doubling_ratio_sup(v.g, grid, v.growth_threshold)
+    verdict = is_moderate_numeric(v.g, grid, v.growth_threshold)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "moderate-audit",
-        "seed": _field(spec, "seed", int, 0),
-        "name": g.spec_string(),
+        "seed": v.seed,
+        "name": v.g.spec_string(),
         "grid": {"t_min": grid.t_min, "t_max": grid.t_max, "points": grid.points},
         "ratio_max": rep.grid_max,
         "log_ratio_max": rep.log_grid_max,
@@ -105,23 +192,16 @@ def _exp_moderate_audit(spec: dict):
     return payload, 0
 
 
-def _exp_last_exit(spec: dict):
-    dist = parse_dist_spec(_need(spec, "dist"))
-    g = parse_function_spec(_need(spec, "g"))
-    a = _field(spec, "a", float)
-    cfg = PathConfig(
-        horizon=_field(spec, "horizon", int, 2**12),
-        replicates=_field(spec, "reps", int, 20_000),
-        seed=_field(spec, "seed", int, 0),
-        center=_field(spec, "center", float, 0.0),
-    )
-    est = estimate_EG_lastexit(dist, g, a, cfg)
+def _exp_last_exit(v):
+    """Estimate E[G(L_a)] for the Cesaro means of a law."""
+    cfg = PathConfig(horizon=v.horizon, replicates=v.reps, seed=v.seed, center=v.center)
+    est = estimate_EG_lastexit(v.dist, v.g, v.a, cfg)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "last-exit",
-        "dist": dist.spec_string(),
-        "G": g.spec_string(),
-        "a": a,
+        "dist": v.dist.spec_string(),
+        "G": v.g.spec_string(),
+        "a": v.a,
         "horizon": cfg.horizon,
         "replicates": cfg.replicates,
         "seed": cfg.seed,
@@ -133,102 +213,72 @@ def _exp_last_exit(spec: dict):
     return payload, 0
 
 
-def _exp_series(spec: dict):
-    dist = parse_dist_spec(_need(spec, "dist"))
-    g = parse_function_spec(_need(spec, "g"))
-    a = _field(spec, "a", float)
-    seed = _field(spec, "seed", int, 0)
-    est = estimate_series(
-        dist,
-        g,
-        a,
-        _field(spec, "n_max", int, 2**14),
-        _field(spec, "reps_per_block", int, 10_000),
-        seed,
-    )
-    blocks = [
-        {"lo": b.lo, "hi": b.hi, "contribution": b.contribution, "se": b.se}
-        for b in est.blocks
-    ]
+def _exp_series(v):
+    """Estimate the deviation series sum n^-1 G(n) P[|S_n/n| >= a]."""
+    est = estimate_series(v.dist, v.g, v.a, v.n_max, v.reps_per_block, v.seed)
+    blocks = [asdict(b) for b in est.blocks]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "series",
-        "dist": dist.spec_string(),
-        "G": g.spec_string(),
-        "a": a,
+        "dist": v.dist.spec_string(),
+        "G": v.g.spec_string(),
+        "a": v.a,
         "n_max": est.n_max,
-        "seed": seed,
+        "seed": v.seed,
         "head": est.head,
         "head_exact": est.head_exact,
         "blocks": blocks,
         "partial_sum": est.partial_sum,
         "se": est.se,
         "verdict": est.verdict,
-        "csv_header": ["lo", "hi", "contribution", "se"],
-        "csv_rows": [[b.lo, b.hi, b.contribution, b.se] for b in est.blocks],
+        "csv_header": SERIES_CSV_HEADER,
+        "csv_rows": [[b[k] for k in SERIES_CSV_HEADER] for b in blocks],
     }
     return payload, 0
 
 
-def _exp_bounds(spec: dict):
-    prop = str(_need(spec, "prop"))
-    dist = parse_dist_spec(_need(spec, "dist"))
-    g = parse_function_spec(_need(spec, "g"))
-    seed = _field(spec, "seed", int, 0)
-    cfg = PathConfig(
-        horizon=_field(spec, "horizon", int, 2**13),
-        replicates=_field(spec, "reps", int, 20_000),
-        seed=seed,
-    )
-    n_max = _field(spec, "n_max", int, 2**14)
-    reps_per_block = _field(spec, "reps_per_block", int, 10_000)
-    if prop == "1":
-        report = prop1_check(dist, g, _field(spec, "alpha", float, 0.5), cfg)
-    elif prop == "2":
-        report = prop2_check(
-            dist,
-            g,
-            _field(spec, "p", int) if spec.get("p") else None,
-            n_max=n_max,
-            reps_per_block=reps_per_block,
-            seed=seed,
-        )
-    elif prop == "3":
-        report = prop3_check(dist, g, cfg, n_max=n_max, reps_per_block=reps_per_block)
-    elif prop == "sym":
-        reports = sym_transfer_check(dist, g, cfg, a=_field(spec, "a", float, 1.0))
+def _exp_bounds(v):
+    """Audit one of the effective bounds; exits 1 when the audit fails."""
+    cfg = PathConfig(horizon=v.horizon, replicates=v.reps, seed=v.seed)
+    series = dict(n_max=v.n_max, reps_per_block=v.reps_per_block)
+    if v.prop == "1":
+        report = prop1_check(v.dist, v.g, v.alpha, cfg)
+    elif v.prop == "2":
+        report = prop2_check(v.dist, v.g, v.p, seed=v.seed, **series)
+    elif v.prop == "3":
+        report = prop3_check(v.dist, v.g, cfg, **series)
+    elif v.prop == "sym":
+        reports = sym_transfer_check(v.dist, v.g, cfg, a=v.a)
         all_pass = all(r.passed for r in reports)
         payload = {
             "schema": SCHEMA_VERSION,
             "kind": "bounds",
             "prop": "sym",
-            "seed": seed,
+            "seed": v.seed,
             "all_pass": all_pass,
             "reports": [bound_report_payload(r) for r in reports],
         }
         return payload, 0 if all_pass else 1
     else:
-        raise ConfigurationError(f"unknown proposition selector {prop!r}")
+        raise ConfigurationError(f"unknown proposition selector {v.prop!r}")
     payload = bound_report_payload(report)
     payload["kind"] = "bounds"
     return payload, 0 if report.passed else 1
 
 
-def _exp_counterexample(spec: dict):
-    g = parse_function_spec(_need(spec, "g"))
-    prefix = _field(spec, "prefix", int, 100_000)
-    dist = counterexample_dist(g, prefix)
+def _exp_counterexample(v):
+    """Build the non-moderate counterexample law and test its moment dichotomy."""
+    dist = counterexample_dist(v.g, v.prefix)
     law = dist.law
-    own = moment_xg(dist, g)
-    doubled = moment_xg(dist, g, arg_scale=2.0)
-    n = prefix
-    harmonic = float(np.sum(1.0 / np.arange(1, n + 1)))
+    own = moment_xg(dist, v.g)
+    doubled = moment_xg(dist, v.g, arg_scale=2.0)
+    harmonic = float(np.sum(1.0 / np.arange(1, v.prefix + 1)))
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "counterexample",
-        "seed": _field(spec, "seed", int, 0),
-        "G": g.spec_string(),
-        "prefix": prefix,
+        "seed": v.seed,
+        "G": v.g.spec_string(),
+        "prefix": v.prefix,
         "c": law.c,
         "stored_mass": law.stored_mass,
         "tail_mass_bound": law.tail_mass_bound,
@@ -245,36 +295,26 @@ def _exp_counterexample(spec: dict):
     return payload, 0 if ok else 1
 
 
-def _hypotheses_from_config(conf: dict) -> HypothesisSet:
-    return HypothesisSet(
-        alphabet=_field(conf, "alphabet", _floats),
-        masses=_field(conf, "hypotheses", lambda rows: tuple(_floats(r) for r in rows)),
-        reference=_field(conf, "reference", _floats) if conf.get("reference") else None,
-        strict=bool(conf.get("strict", True)),
-    )
+def _exp_sprt_run(v):
+    """Run one sequential test from a JSON config (stream or simulate block).
 
-
-def _exp_sprt_run(spec: dict):
-    conf = _need(spec, "config")
-    hyp = _hypotheses_from_config(conf)
-    levels = _field(conf, "levels", _floats)
-    seed = _field(spec, "seed", int, 0)
-    horizon = _field(spec, "horizon", int, conf.get("horizon", 4096))
-    if "stream" in spec or "stream" in conf:
-        stream = _field(spec, "stream", _floats, conf.get("stream"))
-    else:
-        sim = spec.get("simulate", conf.get("simulate"))
-        if not sim:
+    A spec's own ``horizon``, ``stream`` or ``simulate`` overrides the config's."""
+    conf = v.config
+    horizon = conf.horizon if v.horizon is None else v.horizon
+    stream = conf.stream if v.stream is None else v.stream
+    if stream is None:
+        sim = conf.simulate if v.simulate is None else v.simulate
+        if sim is None:
             raise ConfigurationError("sprt-run needs a stream or a simulate block")
-        gen = _rng.substream(seed, _rng.STREAM_SPRT, 99)
-        idx = hyp.sample_indices(gen, _field(sim, "true_index", int), horizon)
-        stream = [hyp.alphabet[k] for k in idx]
-    record = run_test(hyp, levels, iter(stream), horizon)
+        gen = _rng.substream(v.seed, _rng.STREAM_SPRT, 99)
+        idx = conf.hyp.sample_indices(gen, sim.true_index, horizon)
+        stream = [conf.hyp.alphabet[k] for k in idx]
+    record = run_test(conf.hyp, conf.levels, iter(stream), horizon)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "sprt-run",
-        "seed": seed,
-        "levels": list(levels),
+        "seed": v.seed,
+        "levels": list(conf.levels),
         "horizon": horizon,
         "tau": record.tau,
         "censored": record.censored,
@@ -285,41 +325,19 @@ def _exp_sprt_run(spec: dict):
     return payload, 0
 
 
-def _exp_sprt_sweep(spec: dict):
-    conf = _need(spec, "config")
-    hyp = _hypotheses_from_config(conf)
-    g = parse_function_spec(spec.get("g", "power:r=1"))
-    true_index = _field(spec, "true_index", int, 0)
-    seed = _field(spec, "seed", int, 0)
-    rows = optimality_sweep(
-        hyp,
-        _field(spec, "errors", _floats),
-        true_index,
-        g,
-        _field(spec, "reps", int, 20_000),
-        seed,
-    )
+def _exp_sprt_sweep(v):
+    """Optimality sweep: E[G(tau_c)] against the first-order reference."""
+    sweep = optimality_sweep(v.config.hyp, v.errors, v.true_index, v.g, v.reps, v.seed)
+    rows = [asdict(r) for r in sweep]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "sprt-sweep",
-        "G": g.spec_string(),
-        "true_index": true_index,
-        "seed": seed,
-        "rows": [
-            {
-                "target_error": r.target_error,
-                "c": r.c,
-                "mean_G_tau": r.mean_G_tau,
-                "reference_G": r.reference_G,
-                "ratio": r.ratio,
-                "censor_rate": r.censor_rate,
-            }
-            for r in rows
-        ],
+        "G": v.g.spec_string(),
+        "true_index": v.true_index,
+        "seed": v.seed,
+        "rows": rows,
         "csv_header": SWEEP_CSV_HEADER,
-        "csv_rows": [
-            [r.target_error, r.c, r.mean_G_tau, r.reference_G, r.ratio] for r in rows
-        ],
+        "csv_rows": [[r[k] for k in SWEEP_CSV_HEADER] for r in rows],
     }
     return payload, 0
 
@@ -328,11 +346,11 @@ def theorem1_row(
     dist_spec: str,
     g_spec: str,
     *,
-    a_grid=(0.25, 0.5, 1.0),
-    reps: int = 20_000,
-    horizon: int = 2**13,
-    n_max: int = 2**14,
-    reps_per_block: int = 10_000,
+    reps: int,
+    horizon: int,
+    n_max: int,
+    reps_per_block: int,
+    a_grid=DEFAULT_A_GRID,
     seed: int = 0,
     censor_bound: float = 1e-3,
 ) -> dict:
@@ -346,15 +364,11 @@ def theorem1_row(
     g = parse_function_spec(g_spec)
     moment = moment_xg(dist, g)
 
-    profile = deviation_profile(
-        dist, n_max, reps_per_block, _rng.derive_seed(seed, 71), stream=71
-    )
-    series_verdicts = []
-    for a in a_grid:
-        est = estimate_series(
-            dist, g, float(a), n_max, reps_per_block, seed, profile=profile
-        )
-        series_verdicts.append(est.verdict)
+    profile = deviation_profile(dist, n_max, reps_per_block, _rng.derive_seed(seed, 71), stream=71)
+    series_verdicts = [
+        estimate_series(dist, g, float(a), n_max, reps_per_block, seed, profile=profile).verdict
+        for a in a_grid
+    ]
     if any(v == "diverging-evidence" for v in series_verdicts):
         b_verdict = "diverging-evidence"
     elif all(v == "converging-evidence" for v in series_verdicts):
@@ -386,39 +400,17 @@ def theorem1_row(
     }
 
 
-def _split_dist_specs(text: str) -> list[str]:
-    """Split a comma list of distribution specs.  A spec's parameters are
-    comma separated too, so a token with "=" but no ":" continues the
-    previous spec: "rademacher,bernoulli:p=0.75,v0=-3,v1=1" is two specs."""
-    specs: list[str] = []
-    for token in (t.strip() for t in text.split(",")):
-        if specs and "=" in token and ":" not in token:
-            specs[-1] += "," + token
-        elif token:
-            specs.append(token)
-    return specs
-
-
-def _exp_theorem1_matrix(spec: dict):
-    dspecs = _need(spec, "dists")
-    if isinstance(dspecs, str):
-        dspecs = _split_dist_specs(dspecs)
-    g_spec = _need(spec, "g")
-    seed = _field(spec, "seed", int, 0)
-    kwargs = dict(
-        a_grid=_field(spec, "a_grid", _floats, (0.25, 0.5, 1.0)),
-        reps=_field(spec, "reps", int, 20_000),
-        horizon=_field(spec, "horizon", int, 2**13),
-        n_max=_field(spec, "n_max", int, 2**14),
-        reps_per_block=_field(spec, "reps_per_block", int, 10_000),
-    )
+def _exp_theorem1_matrix(v):
+    """Check that the moment, series, and last-exit verdicts agree per law."""
+    sizes = dict(a_grid=v.a_grid, reps=v.reps, horizon=v.horizon, n_max=v.n_max,
+                 reps_per_block=v.reps_per_block)
 
     def _cell(idx_spec):
         idx, ds = idx_spec
-        return theorem1_row(ds, g_spec, seed=_rng.derive_seed(seed, _rng.STREAM_CELL, idx), **kwargs)
+        return theorem1_row(ds, v.g, seed=_rng.derive_seed(v.seed, _rng.STREAM_CELL, idx), **sizes)
 
-    jobs = list(enumerate(dspecs))
-    workers = min(spec.get("threads", 1), len(jobs), os.cpu_count() or 1)
+    jobs = list(enumerate(v.dists))
+    workers = min(v.threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell, jobs))
@@ -428,46 +420,95 @@ def _exp_theorem1_matrix(spec: dict):
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "theorem1-matrix",
-        "G": g_spec,
-        "seed": seed,
+        "G": v.g,
+        "seed": v.seed,
         "rows": rows,
         "all_consistent": all_consistent,
-        "csv_header": ["dist", "verdict_a", "verdict_b", "verdict_c", "consistent"],
-        "csv_rows": [
-            [r["dist"], r["verdict_a"], r["verdict_b"], r["verdict_c"], r["consistent"]]
-            for r in rows
-        ],
+        "csv_header": MATRIX_CSV_HEADER,
+        "csv_rows": [[r[k] for k in MATRIX_CSV_HEADER] for r in rows],
     }
     return payload, 0 if all_consistent else 1
 
 
-_HANDLERS = {
-    "moderate-audit": _exp_moderate_audit,
-    "last-exit": _exp_last_exit,
-    "series": _exp_series,
-    "bounds": _exp_bounds,
-    "counterexample": _exp_counterexample,
-    "sprt-run": _exp_sprt_run,
-    "sprt-sweep": _exp_sprt_sweep,
-    "theorem1-matrix": _exp_theorem1_matrix,
+_CONFIG_HELP = "JSON file: alphabet, hypotheses, optional reference and strict"
+
+_KINDS = {
+    "moderate-audit": _Kind(_exp_moderate_audit, (
+        _G,
+        _Field("t_min", float, DEFAULT_AUDIT_GRID.t_min, "Smallest grid point."),
+        _Field("t_max", float, DEFAULT_AUDIT_GRID.t_max, "Largest grid point."),
+        _Field("points", int, DEFAULT_AUDIT_GRID.points, "Points of the geometric grid."),
+        _Field("growth_threshold", float, 1.5, "Per-decade ratio rise that flags growth."),
+    )),
+    "last-exit": _Kind(_exp_last_exit, (
+        _DIST, _G, _A, _HORIZON._replace(default=2**12), _REPS,
+        _Field("center", float, 0.0, "Deviation center of S_n/n."),
+    )),
+    "series": _Kind(_exp_series, (_DIST, _G, _A, _N_MAX, _REPS_PER_BLOCK), csv=True),
+    "bounds": _Kind(_exp_bounds, (
+        _Field("prop", str, _REQUIRED, "Audit: 1, 2, 3 or sym."),
+        _DIST, _G,
+        _Field("alpha", float, 0.5, "Proposition 1 weight alpha."),
+        _Field("p", int, None, "Proposition 2 exponent (default: the smallest admissible)."),
+        _A._replace(default=1.0), _HORIZON, _REPS, _N_MAX, _REPS_PER_BLOCK,
+    )),
+    "counterexample": _Kind(_exp_counterexample, (
+        _G._replace(default="exp:b=1"),
+        _Field("prefix", int, 100_000, "Stored atoms of the law."),
+    ), csv=True),
+    "sprt-run": _Kind(_exp_sprt_run, (
+        _Field("config", _sprt_config(
+            _Field("levels", _floats),
+            _Field("horizon", int, 4096),
+            _Field("stream", _floats, None),
+            _SIMULATE,
+        ), _REQUIRED, _CONFIG_HELP + ", levels, horizon, stream or simulate."),
+        _Field("horizon", int, None, "Step cap (default: the config's horizon)."),
+        _Field("stream", _floats, None),
+        _SIMULATE,
+    )),
+    "sprt-sweep": _Kind(_exp_sprt_sweep, (
+        _Field("config", _sprt_config(), _REQUIRED, _CONFIG_HELP + "."),
+        _Field("errors", _float_list, _REQUIRED, 'Comma list of target errors, e.g. "1e-1,1e-2".'),
+        _G._replace(default="power:r=1"),
+        _Field("true_index", int, 0, "Index of the true hypothesis."),
+        _REPS,
+    ), csv=True),
+    "theorem1-matrix": _Kind(_exp_theorem1_matrix, (
+        _Field("dists", _split_dist_specs, _REQUIRED,
+               'Comma list of law specs, e.g. "rademacher,bernoulli:p=0.75,v0=-3,v1=1".'),
+        _G._replace(convert=str),
+        _Field("a_grid", _float_list, ",".join(map(str, DEFAULT_A_GRID)),
+               "Comma list of deviation levels."),
+        _REPS, _HORIZON, _N_MAX, _REPS_PER_BLOCK,
+    ), csv=True),
 }
 
 
 def run_experiment(spec: dict):
-    """Dispatch a validated experiment spec; returns (payload, exit_code)."""
-    kind = spec.get("kind")
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        raise ConfigurationError(f"unknown experiment kind {kind!r}")
-    threads = spec.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigurationError(f"threads must be an integer of at least 1, got {threads!r}")
-    return handler(spec)
+    """Dispatch an experiment spec; returns (payload, exit_code)."""
+    kind = _KINDS.get(spec.get("kind"))
+    if kind is None:
+        raise ConfigurationError(f"unknown experiment kind {spec.get('kind')!r}")
+    return kind.handler(_parse(_COMMON + kind.fields, spec))
 
 
 # ---------------------------------------------------------------------------
 # Click wiring
 # ---------------------------------------------------------------------------
+
+
+def _fail(message) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
+def _load_json(path: str):
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            _fail(f"{path} is not valid JSON: {exc}")
 
 
 def _finish(ctx, payload, code):
@@ -484,11 +525,13 @@ def _finish(ctx, payload, code):
 def _run(ctx, spec):
     spec.setdefault("seed", ctx.obj["seed"])
     spec.setdefault("threads", ctx.obj["threads"])
+    kind = _KINDS.get(spec.get("kind"))
+    if ctx.obj["format"] == "csv" and kind is not None and not kind.csv:
+        _fail(f"a {spec['kind']} report has no CSV form; use --format json")
     try:
         payload, code = run_experiment(spec)
     except LabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(exc)
     _finish(ctx, payload, code)
 
 
@@ -506,129 +549,9 @@ def main(ctx, out, fmt, seed, threads, stamp):
     ctx.obj = {"out": out, "format": fmt, "seed": seed, "threads": threads, "stamp": stamp}
 
 
-@main.command("moderate-audit")
-@click.option("--g", "g_spec", required=True, help='Function spec, e.g. "power:r=2" or "exp:b=0.5".')
-@click.option("--t-min", type=float, default=None)
-@click.option("--t-max", type=float, default=None)
-@click.option("--points", type=int, default=321, show_default=True)
-@click.option("--growth-threshold", type=float, default=1.5, show_default=True)
-@click.pass_context
-def cmd_moderate_audit(ctx, g_spec, t_min, t_max, points, growth_threshold):
-    """Audit the doubling ratio of a growth function."""
-    spec = {"kind": "moderate-audit", "g": g_spec, "points": points, "growth_threshold": growth_threshold}
-    if t_min is not None:
-        spec["t_min"] = t_min
-    if t_max is not None:
-        spec["t_max"] = t_max
-    _run(ctx, spec)
-
-
-@main.command("last-exit")
-@click.option("--dist", required=True)
-@click.option("--g", "g_spec", required=True)
-@click.option("--a", type=float, required=True)
-@click.option("--horizon", type=int, default=2**12, show_default=True)
-@click.option("--reps", type=int, default=20_000, show_default=True)
-@click.option("--center", type=float, default=0.0, show_default=True)
-@click.pass_context
-def cmd_last_exit(ctx, dist, g_spec, a, horizon, reps, center):
-    """Estimate E[G(L_a)] for the Cesaro means of a law."""
-    _run(ctx, {"kind": "last-exit", "dist": dist, "g": g_spec, "a": a,
-               "horizon": horizon, "reps": reps, "center": center})
-
-
-@main.command("series")
-@click.option("--dist", required=True)
-@click.option("--g", "g_spec", required=True)
-@click.option("--a", type=float, required=True)
-@click.option("--n-max", type=int, default=2**14, show_default=True)
-@click.option("--reps-per-block", type=int, default=10_000, show_default=True)
-@click.pass_context
-def cmd_series(ctx, dist, g_spec, a, n_max, reps_per_block):
-    """Estimate the deviation series sum n^-1 G(n) P[|S_n/n| >= a]."""
-    _run(ctx, {"kind": "series", "dist": dist, "g": g_spec, "a": a,
-               "n_max": n_max, "reps_per_block": reps_per_block})
-
-
-@main.command("bounds")
-@click.option("--prop", type=click.Choice(["1", "2", "3", "sym"]), required=True)
-@click.option("--dist", required=True)
-@click.option("--g", "g_spec", required=True)
-@click.option("--alpha", type=float, default=0.5, show_default=True)
-@click.option("--p", type=int, default=None)
-@click.option("--a", type=float, default=1.0, show_default=True)
-@click.option("--horizon", type=int, default=2**13, show_default=True)
-@click.option("--reps", type=int, default=20_000, show_default=True)
-@click.option("--n-max", type=int, default=2**14, show_default=True)
-@click.option("--reps-per-block", type=int, default=10_000, show_default=True)
-@click.pass_context
-def cmd_bounds(ctx, prop, dist, g_spec, alpha, p, a, horizon, reps, n_max, reps_per_block):
-    """Audit one of the effective bounds; exits 1 when the audit fails."""
-    _run(ctx, {"kind": "bounds", "prop": prop, "dist": dist, "g": g_spec,
-               "alpha": alpha, "p": p, "a": a, "horizon": horizon, "reps": reps,
-               "n_max": n_max, "reps_per_block": reps_per_block})
-
-
-@main.command("counterexample")
-@click.option("--g", "g_spec", default="exp:b=1", show_default=True)
-@click.option("--prefix", type=int, default=100_000, show_default=True)
-@click.pass_context
-def cmd_counterexample(ctx, g_spec, prefix):
-    """Build the non-moderate counterexample law and test its moment dichotomy."""
-    _run(ctx, {"kind": "counterexample", "g": g_spec, "prefix": prefix})
-
-
 @main.group()
 def sprt():
     """Wald sequential test commands."""
-
-
-@sprt.command("run")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--horizon", type=int, default=None)
-@click.pass_context
-def cmd_sprt_run(ctx, config_path, horizon):
-    """Run one sequential test from a JSON config (stream or simulate block)."""
-    with open(config_path) as fh:
-        conf = json.load(fh)
-    spec = {"kind": "sprt-run", "config": conf}
-    if horizon is not None:
-        spec["horizon"] = horizon
-    _run(ctx, spec)
-
-
-@sprt.command("sweep")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--errors", required=True, help='Comma list of target errors, e.g. "1e-1,1e-2,1e-3,1e-4".')
-@click.option("--g", "g_spec", default="power:r=1", show_default=True)
-@click.option("--true-index", type=int, default=0, show_default=True)
-@click.option("--reps", type=int, default=20_000, show_default=True)
-@click.pass_context
-def cmd_sprt_sweep(ctx, config_path, errors, g_spec, true_index, reps):
-    """Optimality sweep: E[G(tau_c)] against the first-order reference."""
-    with open(config_path) as fh:
-        conf = json.load(fh)
-    _run(ctx, {"kind": "sprt-sweep", "config": conf,
-               "errors": [float(x) for x in errors.split(",")],
-               "g": g_spec, "true_index": true_index, "reps": reps})
-
-
-@main.command("theorem1-matrix")
-@click.option("--dists", required=True,
-              help='Comma list of distribution specs, e.g. "rademacher,bernoulli:p=0.75,v0=-3,v1=1".')
-@click.option("--g", "g_spec", required=True)
-@click.option("--a-grid", default="0.25,0.5,1.0", show_default=True)
-@click.option("--reps", type=int, default=20_000, show_default=True)
-@click.option("--horizon", type=int, default=2**13, show_default=True)
-@click.option("--n-max", type=int, default=2**14, show_default=True)
-@click.option("--reps-per-block", type=int, default=10_000, show_default=True)
-@click.pass_context
-def cmd_theorem1(ctx, dists, g_spec, a_grid, reps, horizon, n_max, reps_per_block):
-    """Check that the moment, series, and last-exit verdicts agree per law."""
-    _run(ctx, {"kind": "theorem1-matrix", "dists": dists, "g": g_spec,
-               "a_grid": [float(a) for a in a_grid.split(",")],
-               "reps": reps, "horizon": horizon, "n_max": n_max,
-               "reps_per_block": reps_per_block})
 
 
 @main.command("run")
@@ -636,12 +559,37 @@ def cmd_theorem1(ctx, dists, g_spec, a_grid, reps, horizon, n_max, reps_per_bloc
 @click.pass_context
 def cmd_run(ctx, config_path):
     """Run an experiment spec from a JSON file (field 'kind' selects it)."""
-    with open(config_path) as fh:
-        spec = json.load(fh)
+    spec = _load_json(config_path)
     if not isinstance(spec, dict):
-        click.echo("error: the config must be a JSON object", err=True)
-        sys.exit(2)
+        _fail("the config must be a JSON object")
     _run(ctx, spec)
+
+
+def _option(f: _Field) -> click.Option:
+    """The ``--key`` option of a field, with the field's default."""
+    if f.key == "config":
+        value_type = click.Path(exists=True)
+    else:
+        value_type = f.convert if f.convert in (int, float) else str
+    required = f.default is _REQUIRED
+    return click.Option(["--" + f.key.replace("_", "-"), f.key], type=value_type, required=required,
+                        default=None if required else f.default,
+                        show_default=True, help=f.help)
+
+
+def _command(name: str, kind_name: str, kind: _Kind) -> click.Command:
+    def callback(**values):
+        if "config" in values:
+            values["config"] = _load_json(values["config"])
+        _run(click.get_current_context(), {"kind": kind_name, **values})
+
+    params = [_option(f) for f in kind.fields if f.help]
+    return click.Command(name, callback=callback, params=params, help=kind.handler.__doc__)
+
+
+for _name, _kind in _KINDS.items():
+    _group, _sub = (sprt, _name[len("sprt-"):]) if _name.startswith("sprt-") else (main, _name)
+    _group.add_command(_command(_sub, _name, _kind))
 
 
 if __name__ == "__main__":

@@ -280,6 +280,92 @@ def test_run_config_wrong_type_exits_2(tmp_path, spec, field):
     assert f"field {field!r} has an invalid value" in res.output
 
 
+def test_cli_moderate_audit_points_builds_the_grid():
+    res = CliRunner().invoke(main, ["moderate-audit", "--g", "power:r=2", "--points", "40"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["grid"] == {"t_min": 0.01, "t_max": 1e6, "points": 40}
+
+
+@pytest.mark.parametrize(
+    "spec,args",
+    [
+        ({"kind": "counterexample", "prefix": 2000}, ["counterexample", "--prefix", "2000"]),
+        ({"kind": "moderate-audit", "g": "power:r=1", "points": 40},
+         ["moderate-audit", "--g", "power:r=1", "--points", "40"]),
+    ],
+)
+def test_run_config_and_subcommand_share_defaults(tmp_path, spec, args):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    runner = CliRunner()
+    from_config = runner.invoke(main, ["run", "--config", str(path)])
+    from_options = runner.invoke(main, args)
+    assert from_config.exit_code == from_options.exit_code == 0, from_config.output
+    assert from_config.stdout_bytes == from_options.stdout_bytes
+
+
+def test_sprt_strict_must_be_a_json_boolean(tmp_path):
+    conf = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]],
+            "levels": [20.0, 20.0], "stream": [1] * 40, "strict": "false"}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    res = CliRunner().invoke(main, ["sprt", "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "field 'strict' has an invalid value" in res.output
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (["sprt", "sweep", "--config", "{conf}", "--errors", "abc", "--reps", "10"], "errors"),
+        (["theorem1-matrix", "--dists", "rademacher", "--g", "power:r=1", "--a-grid", "x",
+          "--reps", "10", "--horizon", "16", "--n-max", "16", "--reps-per-block", "10"],
+         "a_grid"),
+    ],
+)
+def test_cli_bad_comma_list_exits_2(tmp_path, args, field):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]]}))
+    res = CliRunner().invoke(main, [a.format(conf=path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert f"field {field!r} has an invalid value" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run", "--config", "{bad}"],
+     ["sprt", "run", "--config", "{bad}"],
+     ["sprt", "sweep", "--config", "{bad}", "--errors", "0.1"]],
+    ids=["run", "sprt-run", "sprt-sweep"],
+)
+def test_cli_malformed_json_config_exits_2(tmp_path, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "series",')
+    res = CliRunner().invoke(main, [a.format(bad=bad) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and "not valid JSON" in res.output
+
+
+@pytest.mark.parametrize(
+    "kind,args",
+    [
+        ("moderate-audit", ["moderate-audit", "--g", "power:r=2"]),
+        ("last-exit", ["last-exit", "--dist", "rademacher", "--g", "power:r=1", "--a", "1",
+                       "--horizon", "16", "--reps", "10"]),
+        ("bounds", ["bounds", "--prop", "1", "--dist", "rademacher", "--g", "power:r=2",
+                    "--horizon", "16", "--reps", "10"]),
+        ("sprt-run", ["sprt", "run", "--config", "{conf}"]),
+    ],
+)
+def test_cli_csv_without_csv_form_exits_2(tmp_path, kind, args):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]],
+                                "levels": [20.0, 20.0], "stream": [1] * 40}))
+    res = CliRunner().invoke(main, ["--format", "csv"] + [a.format(conf=path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert f"a {kind} report has no CSV form; use --format json" in res.output
+
+
 @pytest.mark.parametrize(
     "threads,cells,cores,expected",
     [(64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 4, 1, None)],
