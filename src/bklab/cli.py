@@ -34,8 +34,8 @@ from .errors import ConfigurationError, LabError
 from .functions import (
     DEFAULT_AUDIT_GRID,
     GridSpec,
+    MODERATION_VERDICT,
     doubling_ratio_sup,
-    is_moderate_numeric,
     parse_function_spec,
 )
 from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estimate_series
@@ -176,7 +176,6 @@ def _exp_moderate_audit(v):
     """Audit the doubling ratio of a growth function."""
     grid = GridSpec(v.t_min, v.t_max, v.points, "geometric")
     rep = doubling_ratio_sup(v.g, grid, v.growth_threshold)
-    verdict = is_moderate_numeric(v.g, grid, v.growth_threshold)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "moderate-audit",
@@ -187,7 +186,7 @@ def _exp_moderate_audit(v):
         "log_ratio_max": rep.log_grid_max,
         "analytic_sup": rep.analytic_sup,
         "growth_verdict": rep.verdict,
-        "verdict": verdict,
+        "verdict": MODERATION_VERDICT[rep.verdict],
     }
     return payload, 0
 
@@ -485,9 +484,15 @@ _KINDS = {
 }
 
 
+def _kind_of(spec: dict) -> _Kind | None:
+    """The table entry named by the spec's ``kind``; None for any other value."""
+    name = spec.get("kind")
+    return _KINDS.get(name) if isinstance(name, str) else None
+
+
 def run_experiment(spec: dict):
     """Dispatch an experiment spec; returns (payload, exit_code)."""
-    kind = _KINDS.get(spec.get("kind"))
+    kind = _kind_of(spec)
     if kind is None:
         raise ConfigurationError(f"unknown experiment kind {spec.get('kind')!r}")
     return kind.handler(_parse(_COMMON + kind.fields, spec))
@@ -525,7 +530,7 @@ def _finish(ctx, payload, code):
 def _run(ctx, spec):
     spec.setdefault("seed", ctx.obj["seed"])
     spec.setdefault("threads", ctx.obj["threads"])
-    kind = _KINDS.get(spec.get("kind"))
+    kind = _kind_of(spec)
     if ctx.obj["format"] == "csv" and kind is not None and not kind.csv:
         _fail(f"a {spec['kind']} report has no CSV form; use --format json")
     try:

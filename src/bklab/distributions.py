@@ -61,6 +61,7 @@ class Distribution:
 
     name = "abstract"
     symmetric = False
+    lattice = None  # (origin, step, offsets, masses) when the atoms lie on a lattice
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -96,6 +97,30 @@ class Distribution:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec_string()}>"
+
+
+# Widest atom offset of a lattice law: a memory guard, so that atoms such as
+# (0, 1e-6, 1) take the Monte Carlo paths instead of n * 1e6 positions.
+LATTICE_SPAN = 1024
+
+
+def lattice_add(masses: np.ndarray, offsets: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Law of K + J: K has ``masses`` on 0, 1, ..., and J, independent, has
+    ``probs`` on ``offsets``.  Shifts add in descending offset order."""
+    out = np.zeros(len(masses) + int(offsets.max()))
+    for i in np.argsort(offsets, kind="stable")[::-1]:
+        out[offsets[i] : offsets[i] + len(masses)] += masses * probs[i]
+    return out
+
+
+def lattice_sums(dist: Distribution, n: int):
+    """Yield ``(values, masses)`` of S_1, ..., S_n for a lattice law.  The
+    caller may zero ``masses`` in place to drop those paths from later steps."""
+    origin, step, offsets, probs = dist.lattice
+    masses = np.ones(1)
+    for i in range(1, n + 1):
+        masses = lattice_add(masses, offsets, probs)
+        yield i * origin + step * np.arange(len(masses)), masses
 
 
 @dataclass(frozen=True, repr=False)
@@ -148,6 +173,25 @@ class Discrete(Distribution):
 
     def atoms(self):
         return self._vals, self._probs
+
+    @cached_property
+    def lattice(self):  # type: ignore[override]
+        """``(origin, step, offsets, masses)`` with atom i at origin + step *
+        offsets[i] within 1e-9 step; None if no offsets up to LATTICE_SPAN fit."""
+        if not np.all(np.isfinite(self._vals)):
+            return None
+        origin = float(self._vals.min())
+        gaps = self._vals - origin
+        spacing = np.diff(np.unique(gaps))
+        base = float(spacing.min()) if spacing.size else (abs(origin) or 1.0)
+        for d in range(1, LATTICE_SPAN + 1):
+            step = base / d
+            offsets = np.rint(gaps / step)
+            if offsets.max() > LATTICE_SPAN:
+                return None
+            if np.all(np.abs(gaps - offsets * step) <= 1e-9 * step):
+                return origin, step, offsets.astype(np.int64), self._probs
+        return None
 
     def tail_exact(self, t):
         return float(self._probs[np.abs(self._vals) >= t].sum())
@@ -529,17 +573,13 @@ def symmetrize(dist: Distribution) -> Distribution:
         return Gaussian(dist.sigma * math.sqrt(2.0))
     if isinstance(dist, UniformSymmetric):
         return TriangularSymmetric(2.0 * dist.half_width)
-    if isinstance(dist, Discrete):
-        vals, probs = dist.atoms()
-        diff = {}
-        for v1, p1 in zip(vals, probs):
-            for v2, p2 in zip(vals, probs):
-                key = round(v1 - v2, 12)
-                diff[key] = diff.get(key, 0.0) + p1 * p2
-        items = sorted(diff.items())
-        return Discrete(
-            tuple(v for v, _ in items), tuple(p for _, p in items), name="discrete"
-        )
+    if dist.lattice is not None:
+        _, step, offsets, probs = dist.lattice
+        top = int(offsets.max())
+        # X - X' = X + (-X'), and -X' sits on the offsets top - k.
+        masses = lattice_add(lattice_add(np.ones(1), offsets, probs), top - offsets, probs)
+        keep = np.flatnonzero(masses)
+        return Discrete(tuple((step * (keep - top)).tolist()), tuple(masses[keep].tolist()))
     return Symmetrized(dist)
 
 

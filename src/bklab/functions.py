@@ -31,6 +31,11 @@ NON_MODERATE_EVIDENCE = "non-moderate-evidence"
 
 BOUNDED_CONSISTENT = "bounded-consistent"
 UNBOUNDED_GROWTH = "unbounded-growth-detected"
+# The moderation verdict that each doubling-audit verdict implies.
+MODERATION_VERDICT = {
+    UNBOUNDED_GROWTH: NON_MODERATE_EVIDENCE,
+    BOUNDED_CONSISTENT: MODERATE_CONSISTENT,
+}
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,8 @@ def doubling_ratio_sup(
     """Grid maximum of G(2t)/G(t), plus the exact supremum 2^r for the power
     family.  The verdict flags unbounded growth when the per-decade maximum
     of the ratio still increases by >= growth_threshold at the end of the grid."""
+    if not growth_threshold > 1:  # also rejects NaN
+        raise DomainError("growth_threshold must exceed 1")
     grid = grid or DEFAULT_AUDIT_GRID
     ts = grid.values()
     ts = ts[ts > 0]
@@ -292,12 +299,7 @@ def is_moderate_numeric(
 ) -> str:
     """Evidence verdict on moderation from the trend of the doubling ratio
     across grid decades.  Numerical evidence only, never a proof."""
-    if growth_threshold <= 1:
-        raise DomainError("growth_threshold must exceed 1")
-    report = doubling_ratio_sup(g, grid, growth_threshold)
-    if report.verdict == UNBOUNDED_GROWTH:
-        return NON_MODERATE_EVIDENCE
-    return MODERATE_CONSISTENT
+    return MODERATION_VERDICT[doubling_ratio_sup(g, grid, growth_threshold).verdict]
 
 
 _TAIL_OCTAVES = 26

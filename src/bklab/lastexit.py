@@ -17,12 +17,13 @@ the configured bound.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .distributions import Distribution
+from .distributions import Distribution, lattice_sums
 from .errors import DataError, DomainError, PreconditionError
 from .functions import ModerateFunction
 
@@ -170,33 +171,22 @@ def estimate_EG_lastexit(
 
 
 # ---------------------------------------------------------------------------
-# Exact small-n deviation probabilities for finite-support laws
+# Exact small-n deviation probabilities for lattice laws
 # ---------------------------------------------------------------------------
 
 
-def _sum_distributions(dist: Distribution, n_max: int) -> list[dict]:
-    """Distributions of S_1..S_n_max as value->prob maps (exact convolution)."""
-    vals, probs = dist.atoms()
-    states = {0.0: 1.0}
-    out = []
-    for _ in range(n_max):
-        new: dict[float, float] = {}
-        for s, p in states.items():
-            for v, q in zip(vals, probs):
-                key = round(s + v, 10)
-                new[key] = new.get(key, 0.0) + p * q
-        states = new
-        out.append(states)
-    return out
+def _beyond(dist: Distribution, values: np.ndarray, level: float) -> np.ndarray:
+    """Lattice positions with |s| >= level; one within 1e-9 lattice steps
+    below the level counts as on it."""
+    return np.abs(values) >= level - 1e-9 * dist.lattice[1]
 
 
 def exact_dev_prob(dist: Distribution, n: int, a: float) -> float:
-    """P[|S_n/n| >= a] by exact enumeration (finite-support laws)."""
-    if dist.atoms() is None:
-        raise PreconditionError("exact enumeration needs a finite-support law")
-    states = _sum_distributions(dist, n)[-1]
-    thresh = a * n - 1e-9 * max(1.0, a * n)
-    return math.fsum(p for s, p in states.items() if abs(s) >= thresh)
+    """P[|S_n/n| >= a] by exact enumeration (finite-support lattice laws)."""
+    if dist.lattice is None:
+        raise PreconditionError("exact enumeration needs a finite-support lattice law")
+    values, masses = deque(lattice_sums(dist, n), maxlen=1).pop()
+    return math.fsum(masses[_beyond(dist, values, a * n)])
 
 
 @dataclass(frozen=True)
@@ -209,15 +199,15 @@ class TailProbEstimate:
 def tail_prob_mean(
     dist: Distribution, n: int, a: float, reps: int = 100_000, seed: int = 0
 ) -> TailProbEstimate:
-    """P[|S_n/n| >= a]; exact enumeration for finite-support laws with
-    n <= 20, Monte Carlo otherwise."""
+    """P[|S_n/n| >= a]; exact enumeration for lattice laws with n <= 20,
+    Monte Carlo otherwise."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if a < 0:
         raise DomainError("a must be nonnegative")
     if a == 0:
         return TailProbEstimate(1.0, 0.0, True)
-    if dist.atoms() is not None and n <= 20:
+    if dist.lattice is not None and n <= 20:
         return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
     count = 0
     for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
@@ -347,10 +337,8 @@ class SeriesEstimate:
 def _series_verdict(block_means, block_ses, head_terms, partial) -> str:
     if len(block_means) == 0:
         if len(head_terms) >= 4:
-            tail_terms = [t for t in head_terms[-8:]]
-            ratios = [
-                b / a for a, b in zip(tail_terms, tail_terms[1:]) if a > 0
-            ]
+            tail_terms = head_terms[-8:]
+            ratios = [b / a for a, b in zip(tail_terms, tail_terms[1:]) if a > 0]
             if not ratios or max(ratios) <= 0.9:
                 return CONVERGING
         return INCONCLUSIVE
@@ -392,24 +380,19 @@ def estimate_series(
     head_n = np.arange(1, n_small + 1, dtype=float)
     w_small = g.eval(head_n) / head_n
 
-    head_exact = dist.atoms() is not None
-    head_terms: list[float] = []
+    head_exact = dist.lattice is not None
+    if profile is None and (n_max > n_small or not head_exact):
+        profile = deviation_profile(dist, n_max, reps_per_block, seed, n_small=n_small)
     per_path_small = None
     if head_exact:
-        thresh = a * head_n - 1e-9 * np.maximum(1.0, a * head_n)
-        probs = []
-        for n, states in enumerate(_sum_distributions(dist, n_small), start=1):
-            probs.append(
-                math.fsum(p for s, p in states.items() if abs(s) >= thresh[n - 1])
-            )
+        probs = [
+            math.fsum(masses[_beyond(dist, values, a * n)])
+            for n, (values, masses) in enumerate(lattice_sums(dist, n_small), start=1)
+        ]
         head_terms = [w * p for w, p in zip(w_small, probs)]
         head = math.fsum(head_terms)
         head_se = 0.0
     else:
-        if profile is None:
-            profile = deviation_profile(
-                dist, n_max, reps_per_block, seed, n_small=n_small
-            )
         ind_small = np.abs(profile.small_values[:, :n_small]) >= a
         per_path_small = ind_small @ w_small
         head = float(np.mean(per_path_small))
@@ -417,14 +400,8 @@ def estimate_series(
         head_terms = list(w_small * ind_small.mean(axis=0))
 
     blocks: list[SeriesBlock] = []
-    block_means: list[float] = []
-    block_ses: list[float] = []
     per_path_dyadic = None
     if n_max > n_small:
-        if profile is None:
-            profile = deviation_profile(
-                dist, n_max, reps_per_block, seed, n_small=n_small
-            )
         if profile.n_max != n_max:
             raise DomainError("profile horizon does not match n_max")
         eps = profile.endpoints
@@ -441,8 +418,6 @@ def estimate_series(
             m = float(np.mean(terms))
             s = float(np.std(terms)) / math.sqrt(reps)
             blocks.append(SeriesBlock(lo, hi, m, s))
-            block_means.append(m)
-            block_ses.append(s)
 
     parts = [p for p in (per_path_small, per_path_dyadic) if p is not None]
     if parts:
@@ -456,7 +431,8 @@ def estimate_series(
         partial = head
         se = 0.0
 
-    verdict = _series_verdict(block_means, block_ses, head_terms, partial)
+    means, ses = [b.contribution for b in blocks], [b.se for b in blocks]
+    verdict = _series_verdict(means, ses, head_terms, partial)
     return SeriesEstimate(
         a=a,
         n_max=n_max,
@@ -493,26 +469,20 @@ def levy_maximal_check(
     dist: Distribution, m: int, t: float, reps: int = 100_000, seed: int = 0
 ) -> LevyReport:
     """Both sides of P[max_{n<=m} |S_n| >= t] <= 2 P[|S_m| >= t] for a
-    symmetric law; exact enumeration when the support is finite and m <= 20."""
+    symmetric law; exact enumeration for lattice laws with m <= 20."""
     if not dist.symmetric:
         raise PreconditionError("the maximal inequality needs a symmetric law")
     if m < 1:
         raise DomainError("m must be >= 1")
-    if dist.atoms() is not None and m <= 20:
-        vals, probs = dist.atoms()
-        states = {(0.0, 0.0): 1.0}
-        for _ in range(m):
-            new: dict[tuple, float] = {}
-            for (s, mx), p in states.items():
-                for v, q in zip(vals, probs):
-                    s2 = round(s + v, 10)
-                    key = (s2, max(mx, abs(s2)))
-                    new[key] = new.get(key, 0.0) + p * q
-            states = new
-        tol = 1e-9 * max(1.0, t)
-        lhs = math.fsum(p for (s, mx), p in states.items() if mx >= t - tol)
-        rhs = 2.0 * math.fsum(p for (s, _), p in states.items() if abs(s) >= t - tol)
-        return LevyReport(lhs, rhs, 0.0, 0.0, True)
+    if dist.lattice is not None and m <= 20:
+        # A path leaves the walk once |S_n| >= t; the mass that left is the lhs.
+        left = []
+        for values, alive in lattice_sums(dist, m):
+            out = _beyond(dist, values, t)
+            left.extend(alive[out])
+            alive[out] = 0.0
+        rhs = 2.0 * exact_dev_prob(dist, m, t / m)
+        return LevyReport(math.fsum(left), rhs, 0.0, 0.0, True)
 
     hit_max = 0
     hit_end = 0

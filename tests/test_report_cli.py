@@ -539,3 +539,42 @@ def test_single_pass_matches_reference_on_edge_cases():
     for rows in ([[0.1, 0.2]] * 4, [[0.1, nan]] * 2, [[1.0], [2.0, 3.0]], [],
                  np.arange(6.0).reshape(2, 3) / 3.0):
         _assert_same_bytes({"csv_header": ["a", "b", "c"], "csv_rows": rows})
+
+
+@pytest.mark.parametrize("kind", [["series"], {"name": "series"}])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_config_unhashable_kind_exits_2(tmp_path, kind, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind}))
+    res = CliRunner().invoke(main, ["--format", fmt, "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "unknown experiment kind" in res.output
+    with pytest.raises(ConfigurationError, match="unknown experiment kind"):
+        run_experiment({"kind": kind})
+
+
+def test_cli_moderate_audit_runs_the_doubling_audit_once(monkeypatch):
+    from bklab import functions
+
+    calls = []
+    real = functions.doubling_ratio_sup
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(functions, "doubling_ratio_sup", counting)
+    monkeypatch.setattr(cli, "doubling_ratio_sup", counting)
+    res = CliRunner().invoke(main, ["moderate-audit", "--g", "exp:b=1", "--t-max", "100"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["verdict"] == "non-moderate-evidence"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1", "1", "nan"])
+def test_cli_moderate_audit_growth_threshold_at_most_1_exits_2(threshold):
+    res = CliRunner().invoke(
+        main, ["moderate-audit", "--g", "power:r=1", "--growth-threshold", threshold]
+    )
+    assert res.exit_code == 2, res.output
+    assert "growth_threshold must exceed 1" in res.output
