@@ -31,7 +31,7 @@ from .distributions import (
     truncation_threshold,
 )
 from .errors import DomainError, PreconditionError
-from .functions import GridSpec, ModerateFunction, check_tail_condition, h_scaling_constant
+from .functions import P_MAX, GridSpec, ModerateFunction, check_tail_condition, h_scaling_constant
 from .lastexit import (
     DeviationProfile,
     PathConfig,
@@ -39,6 +39,7 @@ from .lastexit import (
     estimate_EG_lastexit,
     estimate_series,
 )
+from .report import FINITE
 
 HOLDS_CAP = 1e6
 
@@ -109,7 +110,7 @@ def prop1_check(
     cfg = cfg or PathConfig(horizon=2**14, replicates=10_000, seed=0)
     c = _require_doubling(g)
     lhs_est = moment_xg(dist, g)
-    if lhs_est.verdict != "finite":
+    if lhs_est.verdict.kind != FINITE:
         raise PreconditionError(f"E[|X| G(|X|)] diverges for {dist.spec_string()}")
     t = truncation_threshold(dist, alpha)
     eg = estimate_EG_lastexit(dist, g, 0.5, cfg, batch=eg_batch, stream=11)
@@ -135,16 +136,16 @@ def prop1_check(
     )
 
 
-def default_p(g: ModerateFunction, p_max: int = 12) -> int:
+def default_p(g: ModerateFunction) -> int:
     """Smallest integer p >= 1 passing the numeric tail-integrability test."""
-    for p in range(1, p_max + 1):
+    for p in range(1, P_MAX + 1):
         try:
             check_tail_condition(g, p)
             return p
         except PreconditionError:
             continue
     raise PreconditionError(
-        f"no p <= {p_max} makes G(t)/t^(p+1) integrable for {g.spec_string()}"
+        f"no p <= {P_MAX} makes G(t)/t^(p+1) integrable for {g.spec_string()}"
     )
 
 
@@ -168,7 +169,7 @@ def prop2_check(
     check_tail_condition(g, p)
     c_h = _h_scale(g, p, H_GRID)
     m_xg = moment_xg(dist, g)
-    if m_xg.verdict != "finite":
+    if m_xg.verdict.kind != FINITE:
         raise PreconditionError(f"E[|X| G(|X|)] diverges for {dist.spec_string()}")
     m_abs = abs_mean(dist)
     # Exact integer factorial, converted to float only in the final assembly.
@@ -249,7 +250,6 @@ def sym_transfer_check(
     cfg: PathConfig | None = None,
     *,
     a: float = 1.0,
-    mc_reps: int = 200_000,
 ) -> list[BoundReport]:
     """Audit the symmetrization transfers on independent substreams:
 
@@ -270,7 +270,7 @@ def sym_transfer_check(
     def _moment(d, tag):
         if d.atoms() is not None or d.abs_pdf(0.0) is not None:
             return moment_xg(d, g)
-        return moment_xg(d, g, mode="mc", reps=mc_reps, seed=_rng.derive_seed(seed, tag))
+        return moment_xg(d, g, mode="mc", seed=_rng.derive_seed(seed, tag))
 
     m_star = _moment(star, 41)
     m_plain = _moment(dist, 42)

@@ -31,33 +31,16 @@ from .distributions import (
     parse_dist_spec,
 )
 from .errors import ConfigurationError, LabError
-from .functions import (
-    DEFAULT_AUDIT_GRID,
-    GridSpec,
-    MODERATION_VERDICT,
-    doubling_ratio_sup,
-    parse_function_spec,
-)
+from .functions import DEFAULT_AUDIT_GRID, GridSpec, doubling_ratio_sup, parse_function_spec
 from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estimate_series
-from .report import SCHEMA_VERSION, bound_report_payload, emit
+from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
+from .report import bound_report_payload, emit
 from .sprt import HypothesisSet, optimality_sweep, run_test
 
 SERIES_CSV_HEADER = ["lo", "hi", "contribution", "se"]
 SWEEP_CSV_HEADER = ["target_error", "c", "mean_G_tau", "reference_G", "ratio"]
 MATRIX_CSV_HEADER = ["dist", "verdict_a", "verdict_b", "verdict_c", "consistent"]
 DEFAULT_A_GRID = (0.25, 0.5, 1.0)
-
-_FINITE_WORDS = {"finite", "finite-evidence", "converging-evidence"}
-_DIVERGENT_WORDS = {"divergence-evidence", "diverging-evidence", "divergent-evidence"}
-
-
-def _classify(verdict: str) -> str | None:
-    if verdict in _FINITE_WORDS:
-        return "finite"
-    if verdict in _DIVERGENT_WORDS:
-        return "divergent"
-    return None
-
 
 _REQUIRED = object()
 
@@ -186,7 +169,7 @@ def _exp_moderate_audit(v):
         "log_ratio_max": rep.log_grid_max,
         "analytic_sup": rep.analytic_sup,
         "growth_verdict": rep.verdict,
-        "verdict": MODERATION_VERDICT[rep.verdict],
+        "verdict": MODERATION[rep.verdict.kind],
     }
     return payload, 0
 
@@ -290,7 +273,7 @@ def _exp_counterexample(v):
         "csv_header": ["atom", "mass"],
         "csv_rows": [[a, m] for a, m in law_rows(law)],
     }
-    ok = own.verdict == "finite" and doubled.verdict == "divergence-evidence"
+    ok = own.verdict.kind == FINITE and doubled.verdict.kind == DIVERGENT
     return payload, 0 if ok else 1
 
 
@@ -305,6 +288,7 @@ def _exp_sprt_run(v):
         sim = conf.simulate if v.simulate is None else v.simulate
         if sim is None:
             raise ConfigurationError("sprt-run needs a stream or a simulate block")
+        conf.hyp.check_index(sim.true_index)
         gen = _rng.substream(v.seed, _rng.STREAM_SPRT, 99)
         idx = conf.hyp.sample_indices(gen, sim.true_index, horizon)
         stream = [conf.hyp.alphabet[k] for k in idx]
@@ -351,13 +335,12 @@ def theorem1_row(
     reps_per_block: int,
     a_grid=DEFAULT_A_GRID,
     seed: int = 0,
-    censor_bound: float = 1e-3,
 ) -> dict:
     """Evaluate the three equivalence verdicts for one (dist, G) cell.
 
     (a) is the moment functional verdict, (b) the series verdict over the
     a-grid, (c) the last-exit integrability verdict from censoring.  The row
-    is consistent when all three map to the same finite/divergent class.
+    is consistent when all three are of the same kind, finite or divergent.
     """
     dist = parse_dist_spec(dist_spec)
     g = parse_function_spec(g_spec)
@@ -368,24 +351,20 @@ def theorem1_row(
         estimate_series(dist, g, float(a), n_max, reps_per_block, seed, profile=profile).verdict
         for a in a_grid
     ]
-    if any(v == "diverging-evidence" for v in series_verdicts):
-        b_verdict = "diverging-evidence"
-    elif all(v == "converging-evidence" for v in series_verdicts):
-        b_verdict = "converging-evidence"
+    b_kinds = {v.kind for v in series_verdicts}
+    if DIVERGENT in b_kinds:
+        b_verdict = SERIES[DIVERGENT]
+    elif b_kinds == {FINITE}:
+        b_verdict = SERIES[FINITE]
     else:
-        b_verdict = "inconclusive"
+        b_verdict = SERIES[None]
 
-    c_flags = []
-    censor_rates = []
-    for k, a in enumerate(a_grid):
-        cfg = PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k))
-        est = estimate_EG_lastexit(dist, g, float(a), cfg, censor_bound=censor_bound)
-        censor_rates.append(est.censor_rate)
-        c_flags.append(est.censor_rate <= censor_bound)
-    c_verdict = "finite-evidence" if all(c_flags) else "divergent-evidence"
+    cfgs = [PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)) for k in range(len(a_grid))]
+    last_exits = [estimate_EG_lastexit(dist, g, float(a), cfg) for a, cfg in zip(a_grid, cfgs)]
+    c_verdict = LAST_EXIT[DIVERGENT if any(e.horizon_warning for e in last_exits) else FINITE]
 
-    classes = [_classify(moment.verdict), _classify(b_verdict), _classify(c_verdict)]
-    consistent = None not in classes and len(set(classes)) == 1
+    kinds = [moment.verdict.kind, b_verdict.kind, c_verdict.kind]
+    consistent = None not in kinds and len(set(kinds)) == 1
     return {
         "dist": dist.spec_string(),
         "G": g.spec_string(),
@@ -394,13 +373,15 @@ def theorem1_row(
         "verdict_b": b_verdict,
         "verdict_c": c_verdict,
         "series_verdicts": series_verdicts,
-        "censor_rates": censor_rates,
+        "censor_rates": [e.censor_rate for e in last_exits],
         "consistent": consistent,
     }
 
 
 def _exp_theorem1_matrix(v):
     """Check that the moment, series, and last-exit verdicts agree per law."""
+    if not v.dists or not v.a_grid:
+        raise ConfigurationError("theorem1-matrix needs a law in dists and a level in a_grid")
     sizes = dict(a_grid=v.a_grid, reps=v.reps, horizon=v.horizon, n_max=v.n_max,
                  reps_per_block=v.reps_per_block)
 

@@ -29,9 +29,14 @@ from .functions import (
     doubling_witness_exp,
     parse_function_spec,
 )
+from .report import DIVERGENT, FINITE, MOMENT, Verdict
 
-FINITE = "finite"
-DIVERGENCE_EVIDENCE = "divergence-evidence"
+_SEARCH_LIMIT = 1e7  # largest t of the counterexample search grid
+_QUAD_REL_TOL = 1e-9  # a dyadic quadrature segment below this share ends the sum
+_QUAD_BLOW_UP = 1e6  # total past which a growing segment sum is divergence evidence
+_TRUNC_RATIO = 1.001  # truncation_threshold ladder: _TRUNC_FLOOR * ratio^k up to _TRUNC_CAP
+_TRUNC_FLOOR = 1e-6
+_TRUNC_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class MomentEstimate:
     """
 
     value: float
-    verdict: str
+    verdict: Verdict
     se: float = 0.0
     halfwidth: float = 0.0
     mode: str = "analytic"
@@ -531,9 +536,7 @@ class CounterexampleDist(Distribution):
         return f"counterexample:G={self.law.g.spec_string()},prefix={self.law.ts.size}"
 
 
-def counterexample_dist(
-    g: ModerateFunction, prefix: int, *, ts=None, search_limit: float = 1e7
-) -> CounterexampleDist:
+def counterexample_dist(g: ModerateFunction, prefix: int, *, ts=None) -> CounterexampleDist:
     """Build the two-sided atom law witnessing the failure of moderation.
 
     For the exp family the witness sequence t_n = log(n+1)/b is available in
@@ -544,7 +547,7 @@ def counterexample_dist(
         if g.name == "exp":
             ts = doubling_witness_exp(g.params["b"], prefix)
         else:
-            ts = counterexample_sequence(g, prefix, search_limit)
+            ts = counterexample_sequence(g, prefix, _SEARCH_LIMIT)
     return CounterexampleDist(normalize_counterexample(g, ts, prefix))
 
 
@@ -601,10 +604,10 @@ def _moment_discrete(dist, g, arg_scale):
     vals, probs = dist.atoms()
     av = np.abs(vals)
     value = float(np.dot(probs, av * g.eval(arg_scale * av)))
-    return MomentEstimate(value, FINITE, mode="analytic")
+    return MomentEstimate(value, MOMENT[FINITE], mode="analytic")
 
 
-def _moment_quadrature(dist, g, arg_scale, rel_tol=1e-9, blow_up=1e6):
+def _moment_quadrature(dist, g, arg_scale):
     lo, hi = dist.abs_support()
 
     def integrand(x):
@@ -612,13 +615,12 @@ def _moment_quadrature(dist, g, arg_scale, rel_tol=1e-9, blow_up=1e6):
 
     if math.isfinite(hi):
         value, err = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=200)
-        return MomentEstimate(float(value), FINITE, halfwidth=float(err), mode="quadrature")
+        return MomentEstimate(float(value), MOMENT[FINITE], halfwidth=float(err), mode="quadrature")
 
     edges = [lo, max(2.0 * lo, 1.0)]
     segs = []
     total = 0.0
     quad_err = 0.0
-    verdict = None
     for _ in range(64):
         a, b = edges[-2], edges[-1]
         s, e = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
@@ -629,24 +631,22 @@ def _moment_quadrature(dist, g, arg_scale, rel_tol=1e-9, blow_up=1e6):
         if len(segs) >= 3:
             s3, s2, s1 = segs[-3], segs[-2], segs[-1]
             ratio = s1 / s2 if s2 > 0 else 0.0
-            if s1 <= max(rel_tol * total, 1e-300) or (s1 <= 1e-8 * total and ratio <= 0.9):
+            if s1 <= max(_QUAD_REL_TOL * total, 1e-300) or (s1 <= 1e-8 * total and ratio <= 0.9):
                 tail = s1 * ratio / (1.0 - ratio) if 0 < ratio < 0.95 else s1
                 return MomentEstimate(
-                    total + tail, FINITE, halfwidth=tail + quad_err, mode="quadrature"
+                    total + tail, MOMENT[FINITE], halfwidth=tail + quad_err, mode="quadrature"
                 )
-            if len(segs) >= 12 and s1 >= s2 >= s3 > 0 and total >= blow_up:
-                verdict = DIVERGENCE_EVIDENCE
+            if len(segs) >= 12 and s1 >= s2 >= s3 > 0 and total >= _QUAD_BLOW_UP:
                 break
-    if verdict is None:
-        s3, s2, s1 = segs[-3], segs[-2], segs[-1]
-        verdict = DIVERGENCE_EVIDENCE if s1 >= s2 >= s3 > 0 else FINITE
-    return MomentEstimate(total, verdict, halfwidth=total, mode="quadrature")
+    # Here after 64 segments, or on the blow-up break, where s1 >= s2 >= s3 > 0.
+    s3, s2, s1 = segs[-3], segs[-2], segs[-1]
+    kind = DIVERGENT if s1 >= s2 >= s3 > 0 else FINITE
+    return MomentEstimate(total, MOMENT[kind], halfwidth=total, mode="quadrature")
 
 
-def _moment_counterexample(dist, g, arg_scale, n_atoms=None):
+def _moment_counterexample(dist, g, arg_scale):
     law = dist.law
-    n_stored = law.ts.size
-    n_use = n_stored if n_atoms is None else min(int(n_atoms), n_stored)
+    n_use = law.ts.size
     own_g = (g is law.g) or (g.spec_string() == law.g.spec_string())
     if own_g and arg_scale == 1.0:
         # Terms are exactly 2c/n^2: t_n G(t_n) cancels, so the value of the
@@ -656,20 +656,20 @@ def _moment_counterexample(dist, g, arg_scale, n_atoms=None):
         rem_lo, rem_hi = 1.0 / (n_use + 1), 1.0 / n_use
         value = 2.0 * law.c * (head + 0.5 * (rem_lo + rem_hi))
         halfwidth = law.c * (rem_hi - rem_lo)
-        return MomentEstimate(value, FINITE, halfwidth=halfwidth, mode="partial_sum")
-    ts = law.ts[:n_use]
-    terms = 2.0 * law.weights[:n_use] * ts * g.eval(arg_scale * ts)
+        return MomentEstimate(value, MOMENT[FINITE], halfwidth=halfwidth, mode="partial_sum")
+    ts = law.ts
+    terms = 2.0 * law.weights * ts * g.eval(arg_scale * ts)
     if not np.all(np.isfinite(terms)):
-        return MomentEstimate(math.inf, DIVERGENCE_EVIDENCE, mode="partial_sum")
+        return MomentEstimate(math.inf, MOMENT[DIVERGENT], mode="partial_sum")
     cum = np.cumsum(terms)
     total = float(cum[-1])
     d1 = total - float(cum[n_use // 2 - 1])
     d0 = float(cum[n_use // 2 - 1]) - float(cum[n_use // 4 - 1]) if n_use >= 8 else d1
     if d1 >= 0.8 * d0 and d1 > 1e-15 * max(total, 1.0):
-        return MomentEstimate(total, DIVERGENCE_EVIDENCE, mode="partial_sum")
+        return MomentEstimate(total, MOMENT[DIVERGENT], mode="partial_sum")
     ratio = d1 / d0 if d0 > 0 else 0.0
     tail = d1 * ratio / (1.0 - ratio) if 0 < ratio < 0.95 else d1
-    return MomentEstimate(total + tail, FINITE, halfwidth=tail, mode="partial_sum")
+    return MomentEstimate(total + tail, MOMENT[FINITE], halfwidth=tail, mode="partial_sum")
 
 
 def _moment_mc(dist, g, arg_scale, reps, seed):
@@ -678,7 +678,7 @@ def _moment_mc(dist, g, arg_scale, reps, seed):
     vals = x * g.eval(arg_scale * x)
     mean = math.fsum(vals) / len(vals)
     se = float(np.std(vals)) / math.sqrt(len(vals))
-    return MomentEstimate(mean, FINITE, se=se, mode="mc")
+    return MomentEstimate(mean, MOMENT[FINITE], se=se, mode="mc")
 
 
 def moment_xg(
@@ -687,7 +687,6 @@ def moment_xg(
     mode: str = "auto",
     *,
     arg_scale: float = 1.0,
-    n_atoms: int | None = None,
     reps: int = 200_000,
     seed: int = 0,
 ) -> MomentEstimate:
@@ -713,7 +712,7 @@ def moment_xg(
     if mode == "partial_sum":
         if not isinstance(dist, CounterexampleDist):
             raise UnsupportedOperationError(f"({dist.name}, partial_sum) moment not available")
-        return _moment_counterexample(dist, g, arg_scale, n_atoms)
+        return _moment_counterexample(dist, g, arg_scale)
     if mode == "mc":
         return _moment_mc(dist, g, arg_scale, reps, seed)
     raise UnsupportedOperationError(f"unknown moment mode {mode!r}")
@@ -723,13 +722,13 @@ def abs_mean(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> Momen
     """E|X|, exact where a closed form exists, Monte Carlo otherwise."""
     exact = dist.abs_mean_exact()
     if exact is not None:
-        return MomentEstimate(float(exact), FINITE, mode="analytic")
+        return MomentEstimate(float(exact), MOMENT[FINITE], mode="analytic")
     if isinstance(dist, TwoSidedPareto) and dist.beta <= 1.0:
-        return MomentEstimate(math.inf, DIVERGENCE_EVIDENCE, mode="analytic")
+        return MomentEstimate(math.inf, MOMENT[DIVERGENT], mode="analytic")
     gen = _rng.substream(seed, _rng.STREAM_MOMENT, 1)
     x = np.abs(dist.sample_array(gen, int(reps)))
     return MomentEstimate(
-        float(np.mean(x)), FINITE, se=float(np.std(x)) / math.sqrt(len(x)), mode="mc"
+        float(np.mean(x)), MOMENT[FINITE], se=float(np.std(x)) / math.sqrt(len(x)), mode="mc"
     )
 
 
@@ -760,14 +759,7 @@ def median(dist: Distribution, reps: int = 100_001, seed: int = 0) -> float:
     return float(x[(len(x) - 1) // 2])
 
 
-def truncation_threshold(
-    dist: Distribution,
-    alpha: float,
-    *,
-    grid_ratio: float = 1.001,
-    t_floor: float = 1e-6,
-    t_cap: float = 1e12,
-) -> float:
+def truncation_threshold(dist: Distribution, alpha: float) -> float:
     """Smallest grid t with E[|X| ; |X| >= t] <= 1 - alpha.
 
     The grid is {0} followed by a geometric ladder of ratio 1.001; the
@@ -784,15 +776,15 @@ def truncation_threshold(
         )
     if float(probe[0]) <= target:
         return 0.0
-    t = t_floor
+    t = _TRUNC_FLOOR
     chunk = 8192
-    while t <= t_cap:
-        ts = t * grid_ratio ** np.arange(chunk)
+    while t <= _TRUNC_CAP:
+        ts = t * _TRUNC_RATIO ** np.arange(chunk)
         m = dist.abs_trunc_moment_exact(ts)
         hits = np.nonzero(m <= target)[0]
         if hits.size:
             return float(ts[hits[0]])
-        t = float(ts[-1]) * grid_ratio
+        t = float(ts[-1]) * _TRUNC_RATIO
     raise PrecisionError("no grid point satisfied the truncated-moment inequality")
 
 

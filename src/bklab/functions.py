@@ -25,17 +25,11 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
+from .report import DIVERGENT, DOUBLING, FINITE, MODERATION, Verdict
 
-MODERATE_CONSISTENT = "moderate-consistent"
-NON_MODERATE_EVIDENCE = "non-moderate-evidence"
-
-BOUNDED_CONSISTENT = "bounded-consistent"
-UNBOUNDED_GROWTH = "unbounded-growth-detected"
-# The moderation verdict that each doubling-audit verdict implies.
-MODERATION_VERDICT = {
-    UNBOUNDED_GROWTH: NON_MODERATE_EVIDENCE,
-    BOUNDED_CONSISTENT: MODERATE_CONSISTENT,
-}
+P_MAX = 12  # largest exponent p that the tail-integrability scans try
+_H_REL_TOL = 1e-9  # h_majorant stops summing below this share of the total
+_SEARCH_RATIO = 1.01  # step of the counterexample search grid
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,7 @@ class DoublingReport:
     grid_max: float
     log_grid_max: float
     analytic_sup: float | None
-    verdict: str
+    verdict: Verdict
 
 
 def _decade_log_ratios(g: ModerateFunction, ts: np.ndarray) -> np.ndarray:
@@ -282,7 +276,7 @@ def doubling_ratio_sup(
         growing = per_decade[-1] - per_decade[-2] >= math.log(growth_threshold)
     else:
         growing = lr[-1] - lr[0] >= math.log(growth_threshold)
-    verdict = UNBOUNDED_GROWTH if growing else BOUNDED_CONSISTENT
+    verdict = DOUBLING[DIVERGENT if growing else FINITE]
 
     analytic = None
     if g.name == "power":
@@ -296,10 +290,10 @@ def is_moderate_numeric(
     g: ModerateFunction,
     grid: GridSpec | None = None,
     growth_threshold: float = 1.5,
-) -> str:
+) -> Verdict:
     """Evidence verdict on moderation from the trend of the doubling ratio
     across grid decades.  Numerical evidence only, never a proof."""
-    return MODERATION_VERDICT[doubling_ratio_sup(g, grid, growth_threshold).verdict]
+    return MODERATION[doubling_ratio_sup(g, grid, growth_threshold).verdict.kind]
 
 
 _TAIL_OCTAVES = 26
@@ -320,7 +314,7 @@ def _tail_condition_holds(g: ModerateFunction, p: int, start: float = 64.0) -> b
     return bool(np.all(tail <= _TAIL_MARGIN))
 
 
-def check_tail_condition(g: ModerateFunction, p: int, *, p_scan_max: int = 12) -> None:
+def check_tail_condition(g: ModerateFunction, p: int) -> None:
     """Raise ConditionViolationError when G(t)/t^(p+1) fails the numeric
     integrability test, reporting the smallest exponent that would pass."""
     if p < 1 or p != int(p):
@@ -328,7 +322,7 @@ def check_tail_condition(g: ModerateFunction, p: int, *, p_scan_max: int = 12) -
     if _tail_condition_holds(g, int(p)):
         return
     smallest = None
-    for q in range(int(p) + 1, p_scan_max + 1):
+    for q in range(int(p) + 1, P_MAX + 1):
         if _tail_condition_holds(g, q):
             smallest = q
             break
@@ -340,7 +334,7 @@ def check_tail_condition(g: ModerateFunction, p: int, *, p_scan_max: int = 12) -
     )
 
 
-def h_majorant(g: ModerateFunction, p: int, n: int, rel_tol: float = 1e-9) -> float:
+def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
     """n^p * sum_{k>=n} G(k) k^-(p+1) by direct summation plus an integral
     bracket on the remainder of the (decreasing) summand."""
     if n < 1 or n != int(n):
@@ -360,7 +354,7 @@ def h_majorant(g: ModerateFunction, p: int, n: int, rel_tol: float = 1e-9) -> fl
         ks = np.arange(lo, hi, dtype=float)
         total += float(np.sum(summand(ks)))
         g_hi = float(summand(float(hi)))
-        if g_hi <= 2.0 * rel_tol * total and hi >= 4 * n:
+        if g_hi <= 2.0 * _H_REL_TOL * total and hi >= 4 * n:
             break
         lo, hi = hi, 2 * hi
         if hi > 1 << 40:  # decay was validated, this should be unreachable
@@ -389,7 +383,6 @@ def counterexample_sequence(
     count: int,
     search_limit: float,
     *,
-    grid_ratio: float = 1.01,
     t_start: float = 1e-3,
 ) -> np.ndarray:
     """Strictly increasing t_1 < ... < t_count with G(2 t_n) >= n G(t_n),
@@ -400,14 +393,12 @@ def counterexample_sequence(
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if grid_ratio <= 1:
-        raise DomainError("grid_ratio must exceed 1")
     if search_limit <= t_start:
         raise DomainError("search_limit must exceed t_start")
-    npts = int(math.ceil(math.log(search_limit / t_start) / math.log(grid_ratio))) + 1
+    npts = int(math.ceil(math.log(search_limit / t_start) / math.log(_SEARCH_RATIO))) + 1
     if npts > 50_000_000:
         raise DomainError("search grid too fine for the given limit")
-    ts_grid = t_start * grid_ratio ** np.arange(npts)
+    ts_grid = t_start * _SEARCH_RATIO ** np.arange(npts)
     ts_grid = ts_grid[ts_grid <= search_limit]
     with np.errstate(over="ignore"):
         lr = g.log_eval(2.0 * ts_grid) - g.log_eval(ts_grid)

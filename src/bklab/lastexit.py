@@ -11,7 +11,7 @@ block.
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
 censored, and estimates refuse a clean verdict when the censor rate exceeds
-the configured bound.
+``CENSOR_BOUND``.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from . import rng as _rng
 from .distributions import Distribution, lattice_sums
 from .errors import DataError, DomainError, PreconditionError
 from .functions import ModerateFunction
+from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
-
-CONVERGING = "converging-evidence"
-DIVERGING = "diverging-evidence"
-INCONCLUSIVE = "inconclusive"
+CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 
 
 @dataclass(frozen=True)
@@ -145,14 +143,13 @@ def estimate_EG_lastexit(
     a: float,
     cfg: PathConfig,
     *,
-    censor_bound: float = 1e-3,
     batch: LastExitBatch | None = None,
     stream: int = 0,
 ) -> EGEstimate:
     """Monte Carlo mean of G(L_a) with standard error and censor rate.
 
     ``batch`` lets callers reuse one last-exit simulation across several G;
-    the L samples do not depend on G.  A censor rate above ``censor_bound``
+    the L samples do not depend on G.  A censor rate above ``CENSOR_BOUND``
     sets the horizon warning: the mean then understates the true moment.
     """
     if cfg.center == 0.0 and abs(dist.mean()) > 1e-9:
@@ -167,7 +164,7 @@ def estimate_EG_lastexit(
     var = math.fsum((v - mean) ** 2 for v in vals) / max(reps - 1, 1)
     se = math.sqrt(var / reps)
     censor_rate = batch.censor_rate
-    return EGEstimate(mean, se, censor_rate, censor_rate > censor_bound, reps)
+    return EGEstimate(mean, se, censor_rate, censor_rate > CENSOR_BOUND, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +180,8 @@ def _beyond(dist: Distribution, values: np.ndarray, level: float) -> np.ndarray:
 
 def exact_dev_prob(dist: Distribution, n: int, a: float) -> float:
     """P[|S_n/n| >= a] by exact enumeration (finite-support lattice laws)."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if dist.lattice is None:
         raise PreconditionError("exact enumeration needs a finite-support lattice law")
     values, masses = deque(lattice_sums(dist, n), maxlen=1).pop()
@@ -331,27 +330,27 @@ class SeriesEstimate:
     blocks: tuple
     partial_sum: float
     se: float
-    verdict: str
+    verdict: Verdict
 
 
-def _series_verdict(block_means, block_ses, head_terms, partial) -> str:
+def _series_verdict(block_means, block_ses, head_terms, partial) -> Verdict:
     if len(block_means) == 0:
         if len(head_terms) >= 4:
             tail_terms = head_terms[-8:]
             ratios = [b / a for a, b in zip(tail_terms, tail_terms[1:]) if a > 0]
             if not ratios or max(ratios) <= 0.9:
-                return CONVERGING
-        return INCONCLUSIVE
+                return SERIES[FINITE]
+        return SERIES[None]
     floor = max(4.0 * block_ses[-1], 1e-12, 1e-9 * abs(partial))
     if block_means[-1] <= floor and (len(block_means) < 2 or block_means[-2] <= floor):
-        return CONVERGING
+        return SERIES[FINITE]
     if len(block_means) >= 3:
         b1, b2, b3 = block_means[-3], block_means[-2], block_means[-1]
         if b3 >= b2 >= b1 and b3 > floor:
-            return DIVERGING
+            return SERIES[DIVERGENT]
         if b3 <= 0.85 * b2 and b2 <= 0.85 * b1:
-            return CONVERGING
-    return INCONCLUSIVE
+            return SERIES[FINITE]
+    return SERIES[None]
 
 
 def estimate_series(

@@ -36,6 +36,34 @@ import numpy as np
 
 SCHEMA_VERSION = "bklab-report/1"
 
+FINITE = "finite"
+DIVERGENT = "divergent"
+
+
+class Verdict(str):
+    """A verdict word of bklab-report/1: the ``str`` value is the word that
+    reports carry, ``kind`` is FINITE, DIVERGENT or None (undecided)."""
+
+    def __new__(cls, word: str, kind: str | None = None):
+        self = super().__new__(cls, word)
+        self.kind = kind
+        return self
+
+
+def _verdicts(finite: str, divergent: str, undecided: str | None = None) -> dict:
+    table = {FINITE: Verdict(finite, FINITE), DIVERGENT: Verdict(divergent, DIVERGENT)}
+    if undecided is not None:
+        table[None] = Verdict(undecided)
+    return table
+
+
+# Each estimator's words by kind; every verdict is evidence, never proof.
+MOMENT = _verdicts("finite", "divergence-evidence")  # E[|X| G(|X|)]
+SERIES = _verdicts("converging-evidence", "diverging-evidence", "inconclusive")
+LAST_EXIT = _verdicts("finite-evidence", "divergent-evidence")  # E[G(L_a)] from censoring
+DOUBLING = _verdicts("bounded-consistent", "unbounded-growth-detected")  # G(2t)/G(t)
+MODERATION = _verdicts("moderate-consistent", "non-moderate-evidence")
+
 _FLOAT = "%.17g"
 
 

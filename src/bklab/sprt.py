@@ -25,8 +25,11 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigurationError, DataError, DomainError
 from .functions import ModerateFunction
+from .lastexit import CENSOR_BOUND
 
 _RHO_UNSET = 0  # sentinel inside the batch arrays; public records use None
+_HORIZON_FACTOR = 6.0  # a sweep row runs for 6 n* + 64 steps,
+_MIN_HORIZON = 256  # but at least 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +75,11 @@ class HypothesisSet:
     @property
     def m(self) -> int:
         return len(self.masses)
+
+    def check_index(self, i) -> None:
+        """Refuse ``i`` unless it is an integer naming a hypothesis, 0 <= i < m."""
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.m:
+            raise ConfigurationError(f"the hypothesis index must be 0 .. {self.m - 1}, got {i!r}")
 
     @cached_property
     def _masses(self) -> np.ndarray:
@@ -249,6 +257,7 @@ def simulate_runs(
     """Replicated Wald runs under P_true; one substream per replicate block,
     draws taken for every column each step so results do not depend on which
     replicates have already stopped."""
+    hyp.check_index(true_index)
     logc = as_levels(levels, hyp.m).log()
     m = hyp.m
     inc = hyp._increments
@@ -325,11 +334,9 @@ def estimate_G_moment(
     reps: int,
     horizon: int,
     seed: int = 0,
-    *,
-    censor_bound: float = 1e-3,
 ) -> GMomentEstimate:
     """Monte Carlo E_true[G(tau)] over non-censored runs; the estimate is
-    flagged when the censor rate exceeds the configured bound."""
+    flagged when the censor rate exceeds ``CENSOR_BOUND``."""
     runs = simulate_runs(hyp, levels, true_index, reps, horizon, seed)
     alive = ~runs.censored
     censor_rate = 1.0 - float(alive.mean())
@@ -338,7 +345,7 @@ def estimate_G_moment(
     vals = g.eval(runs.tau[alive].astype(float))
     mean = math.fsum(vals) / len(vals)
     se = float(np.std(vals)) / math.sqrt(len(vals))
-    return GMomentEstimate(mean, se, censor_rate, censor_rate > censor_bound)
+    return GMomentEstimate(mean, se, censor_rate, censor_rate > CENSOR_BOUND)
 
 
 def rejection_rate(
@@ -351,6 +358,7 @@ def rejection_rate(
 ) -> tuple[float, float]:
     """Empirical P_i[rho_i <= horizon]: the chance the mean-one ratio R^i
     ever reaches c_i under its own law, which Ville's inequality caps at 1/c_i."""
+    hyp.check_index(i)
     if not c_i > 1.0:
         raise ConfigurationError("the level must exceed 1")
     logc = math.log(c_i)
@@ -387,9 +395,6 @@ def optimality_sweep(
     g: ModerateFunction,
     reps: int,
     seed: int = 0,
-    *,
-    horizon_factor: float = 6.0,
-    min_horizon: int = 256,
 ) -> list[SweepRow]:
     """For each target error a set c = 1/a, run the test under P_true and
     compare E[G(tau_c)] against G(n*) with n* = max_{j != i} log c / drift of
@@ -399,6 +404,7 @@ def optimality_sweep(
     the trend of the ratio column as the target error shrinks, and the
     acceptance band around 1 is engineering judgment, not a theorem.
     """
+    hyp.check_index(true_index)
     targets = [float(a) for a in target_errors]
     if any(not (0 < a < 1) for a in targets):
         raise ConfigurationError("target errors must lie in (0, 1)")
@@ -419,7 +425,7 @@ def optimality_sweep(
     for row_idx, a_err in enumerate(targets):
         c = 1.0 / a_err
         n_star = max(math.log(c) / d for d in drifts)
-        horizon = max(min_horizon, int(horizon_factor * n_star) + 64)
+        horizon = max(_MIN_HORIZON, int(_HORIZON_FACTOR * n_star) + 64)
         est = estimate_G_moment(
             hyp,
             c,

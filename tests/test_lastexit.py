@@ -216,3 +216,9 @@ def test_deterministic_for_fixed_seed():
     b = last_exit_samples(Gaussian(1.0), 0.5, cfg)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.censored, b.censored)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_exact_dev_prob_rejects_n_below_1(n):
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        exact_dev_prob(rademacher(), n, 0.5)

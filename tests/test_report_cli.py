@@ -578,3 +578,44 @@ def test_cli_moderate_audit_growth_threshold_at_most_1_exits_2(threshold):
     )
     assert res.exit_code == 2, res.output
     assert "growth_threshold must exceed 1" in res.output
+
+
+_BERN_CONF = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]], "levels": [10.0, 10.0]}
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_cli_sprt_sweep_true_index_out_of_range_exits_2(tmp_path, index):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(_BERN_CONF))
+    res = CliRunner().invoke(main, ["sprt", "sweep", "--config", str(path), "--errors", "1e-1",
+                                    "--reps", "10", "--true-index", index])
+    assert res.exit_code == 2, res.output
+    assert "hypothesis index" in res.output
+
+
+@pytest.mark.parametrize("index", [7, -1, 2])
+def test_cli_sprt_run_simulate_true_index_out_of_range_exits_2(tmp_path, index):
+    spec = {"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": index})}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "hypothesis index" in res.output
+
+
+def test_cli_theorem1_matrix_empty_law_list_exits_2():
+    res = CliRunner().invoke(main, ["theorem1-matrix", "--dists", ",", "--g", "power:r=1"])
+    assert res.exit_code == 2, res.output
+    assert "needs a law in dists" in res.output
+
+
+def test_run_config_theorem1_matrix_empty_level_grid_exits_2(tmp_path):
+    spec = {"kind": "theorem1-matrix", "dists": ["rademacher"], "g": "power:r=1", "a_grid": [],
+            "reps": 100, "horizon": 64, "n_max": 64, "reps_per_block": 100}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "a level in a_grid" in res.output
+    with pytest.raises(ConfigurationError, match="a level in a_grid"):
+        run_experiment(spec)

@@ -219,3 +219,22 @@ def test_sweep_single_row():
     rows = optimality_sweep(BERN_PAIR, [1e-2], 0, power(0), reps=2000, seed=2)
     assert len(rows) == 1
     assert rows[0].ratio == pytest.approx(1.0)  # G == 1 normalizes exactly
+
+
+@pytest.mark.parametrize("index", [2, 5, -1, 1.0])
+def test_hypothesis_index_out_of_range_is_refused(index):
+    with pytest.raises(ConfigurationError, match="hypothesis index"):
+        BERN_PAIR.check_index(index)
+    with pytest.raises(ConfigurationError, match="hypothesis index"):
+        simulate_runs(BERN_PAIR, (10.0, 10.0), index, 10, 16, 0)
+    with pytest.raises(ConfigurationError, match="hypothesis index"):
+        estimate_errors(BERN_PAIR, (10.0, 10.0), index, 10, 16)
+    with pytest.raises(ConfigurationError, match="hypothesis index"):
+        rejection_rate(BERN_PAIR, 10.0, index, 10, 16)
+    with pytest.raises(ConfigurationError, match="hypothesis index"):
+        optimality_sweep(BERN_PAIR, (0.1,), index, power(1), 10)
+
+
+def test_hypothesis_index_accepts_numpy_integers():
+    BERN_PAIR.check_index(np.int64(1))
+    assert simulate_runs(BERN_PAIR, (10.0, 10.0), np.int64(1), 10, 16, 0).tau.shape == (10,)
