@@ -108,6 +108,14 @@ def _split_dist_specs(text) -> list[str]:
     return specs
 
 
+def _int(value) -> int:
+    """An integer field; a bool or a float with a fractional part is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{value!r} is not a boolean")
@@ -115,7 +123,7 @@ def _json_bool(value) -> bool:
 
 
 def _threads(value) -> int:
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigurationError(f"threads must be an integer of at least 1, got {value!r}")
     return value
 
@@ -139,15 +147,15 @@ def _sprt_config(*extra: _Field) -> Callable:
     return convert
 
 
-_COMMON = (_Field("seed", int, 0), _Field("threads", _threads, 1))
-_SIMULATE = _Field("simulate", lambda b: _parse((_Field("true_index", int),), dict(b)), None)
+_COMMON = (_Field("seed", _int, 0), _Field("threads", _threads, 1))
+_SIMULATE = _Field("simulate", lambda b: _parse((_Field("true_index", _int),), dict(b)), None)
 _DIST = _Field("dist", parse_dist_spec, _REQUIRED, 'Law spec, e.g. "pareto2:beta=1.5".')
 _G = _Field("g", parse_function_spec, _REQUIRED, 'Function spec, e.g. "power:r=2" or "exp:b=0.5".')
 _A = _Field("a", float, _REQUIRED, "Deviation level a.")
-_HORIZON = _Field("horizon", int, 2**13, "Steps simulated per path.")
-_REPS = _Field("reps", int, 20_000, "Replicate paths.")
-_N_MAX = _Field("n_max", int, 2**14, "Last term of the series partial sum.")
-_REPS_PER_BLOCK = _Field("reps_per_block", int, 10_000, "Paths of the deviation profile.")
+_HORIZON = _Field("horizon", _int, 2**13, "Steps simulated per path.")
+_REPS = _Field("reps", _int, 20_000, "Replicate paths.")
+_N_MAX = _Field("n_max", _int, 2**14, "Last term of the series partial sum.")
+_REPS_PER_BLOCK = _Field("reps_per_block", _int, 10_000, "Paths of the deviation profile.")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,7 @@ _KINDS = {
         _G,
         _Field("t_min", float, DEFAULT_AUDIT_GRID.t_min, "Smallest grid point."),
         _Field("t_max", float, DEFAULT_AUDIT_GRID.t_max, "Largest grid point."),
-        _Field("points", int, DEFAULT_AUDIT_GRID.points, "Points of the geometric grid."),
+        _Field("points", _int, DEFAULT_AUDIT_GRID.points, "Points of the geometric grid."),
         _Field("growth_threshold", float, 1.5, "Per-decade ratio rise that flags growth."),
     )),
     "last-exit": _Kind(_exp_last_exit, (
@@ -429,21 +437,21 @@ _KINDS = {
         _Field("prop", str, _REQUIRED, "Audit: 1, 2, 3 or sym."),
         _DIST, _G,
         _Field("alpha", float, 0.5, "Proposition 1 weight alpha."),
-        _Field("p", int, None, "Proposition 2 exponent (default: the smallest admissible)."),
+        _Field("p", _int, None, "Proposition 2 exponent (default: the smallest admissible)."),
         _A._replace(default=1.0), _HORIZON, _REPS, _N_MAX, _REPS_PER_BLOCK,
     )),
     "counterexample": _Kind(_exp_counterexample, (
         _G._replace(default="exp:b=1"),
-        _Field("prefix", int, 100_000, "Stored atoms of the law."),
+        _Field("prefix", _int, 100_000, "Stored atoms of the law."),
     ), csv=True),
     "sprt-run": _Kind(_exp_sprt_run, (
         _Field("config", _sprt_config(
             _Field("levels", _floats),
-            _Field("horizon", int, 4096),
+            _Field("horizon", _int, 4096),
             _Field("stream", _floats, None),
             _SIMULATE,
         ), _REQUIRED, _CONFIG_HELP + ", levels, horizon, stream or simulate."),
-        _Field("horizon", int, None, "Step cap (default: the config's horizon)."),
+        _Field("horizon", _int, None, "Step cap (default: the config's horizon)."),
         _Field("stream", _floats, None),
         _SIMULATE,
     )),
@@ -451,7 +459,7 @@ _KINDS = {
         _Field("config", _sprt_config(), _REQUIRED, _CONFIG_HELP + "."),
         _Field("errors", _float_list, _REQUIRED, 'Comma list of target errors, e.g. "1e-1,1e-2".'),
         _G._replace(default="power:r=1"),
-        _Field("true_index", int, 0, "Index of the true hypothesis."),
+        _Field("true_index", _int, 0, "Index of the true hypothesis."),
         _REPS,
     ), csv=True),
     "theorem1-matrix": _Kind(_exp_theorem1_matrix, (
@@ -556,7 +564,7 @@ def _option(f: _Field) -> click.Option:
     if f.key == "config":
         value_type = click.Path(exists=True)
     else:
-        value_type = f.convert if f.convert in (int, float) else str
+        value_type = {_int: int, float: float}.get(f.convert, str)
     required = f.default is _REQUIRED
     return click.Option(["--" + f.key.replace("_", "-"), f.key], type=value_type, required=required,
                         default=None if required else f.default,

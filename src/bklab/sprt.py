@@ -109,6 +109,15 @@ class HypothesisSet:
     def _cums(self) -> np.ndarray:
         return np.cumsum(self._masses, axis=1)
 
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        """The thresholds of ``sample_indices``: ``_cums`` with its last column,
+        which is never counted, set to +inf, so a one-symbol alphabet draws
+        index 0 even when its mass rounds to a little below 1."""
+        cuts = self._cums.copy()
+        cuts[:, -1] = np.inf
+        return cuts
+
     def index_of(self, y) -> int:
         k = self._index.get(float(y))
         if k is None or self._reference[k] <= 0:
@@ -145,10 +154,20 @@ class HypothesisSet:
         return float(np.sum(p[mask] * inc[mask]))
 
     def sample_indices(self, gen: np.random.Generator, i: int, n: int) -> np.ndarray:
+        """``n`` symbol indices drawn from P_i, each from one ``gen.random``
+        double u, so the draws follow the stream layout of ``rng``.
+
+        The index of u is the number of cumulative masses ``cums[k] <= u`` over
+        k < K-1, counted with one comparison per threshold.  ``cums`` does not
+        decrease, so this is ``searchsorted(cums, u, side="right")`` clipped at
+        K-1, bit for bit.
+        """
         u = gen.random(n)
-        return np.minimum(
-            np.searchsorted(self._cums[i], u, side="right"), len(self.alphabet) - 1
-        )
+        cuts = self._cuts[i]
+        idx = (u >= cuts[0]).astype(np.intp)
+        for c in cuts[1:-1]:
+            idx += u >= c
+        return idx
 
 
 @dataclass(frozen=True)
@@ -258,6 +277,8 @@ def simulate_runs(
     draws taken for every column each step so results do not depend on which
     replicates have already stopped."""
     hyp.check_index(true_index)
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
     logc = as_levels(levels, hyp.m).log()
     m = hyp.m
     inc = hyp._increments
@@ -361,6 +382,8 @@ def rejection_rate(
     hyp.check_index(i)
     if not c_i > 1.0:
         raise ConfigurationError("the level must exceed 1")
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
     logc = math.log(c_i)
     inc_i = hyp._increments[i]
     draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
@@ -369,10 +392,13 @@ def rejection_rate(
         carry = np.zeros(size)
         crossed = np.zeros(size, dtype=bool)
         for _n0, incs in _rng.walk(draw, size, gen, horizon, chunk=1024):
-            cums = np.cumsum(incs, axis=1)
-            cums += carry[:, None]
-            crossed |= cums.max(axis=1) >= logc
-            carry = cums[:, -1].copy()
+            # The carry is added after the max, and gives the same bits as
+            # adding it to every partial sum first: the increments under P_i
+            # are finite and x -> fl(x + carry) is monotone under
+            # round-to-nearest, so max_j fl(c_j + carry) == fl(max_j c_j + carry).
+            cums = np.cumsum(incs, axis=1, out=incs)
+            crossed |= cums.max(axis=1) + carry >= logc
+            carry = cums[:, -1] + carry
         crossed_total += int(np.count_nonzero(crossed))
     p = crossed_total / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
@@ -406,6 +432,8 @@ def optimality_sweep(
     """
     hyp.check_index(true_index)
     targets = [float(a) for a in target_errors]
+    if not targets:
+        raise ConfigurationError("the sweep needs at least one target error")
     if any(not (0 < a < 1) for a in targets):
         raise ConfigurationError("target errors must lie in (0, 1)")
     if not all(b < a for a, b in zip(targets, targets[1:])):

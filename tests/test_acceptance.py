@@ -138,6 +138,7 @@ def test_criterion_2_exact_last_exit_moment():
            f"censor {est.censor_rate:.1e}, {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_3_proposition_audits(eg_batches, profiles):
     t_total0 = time.time()
     cells = 0
@@ -177,6 +178,7 @@ def test_criterion_3_proposition_audits(eg_batches, profiles):
            f"{slowest:.1f} s, shared sims {sim_time:.0f} s, matrix total {total + sim_time:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_4_theorem1_equivalence_matrix():
     specs = ["gaussian:sigma=1", "rademacher", "pareto2:beta=4", "pareto2:beta=1.5"]
     rows = []
@@ -269,6 +271,7 @@ def test_criterion_7_levy_and_symmetrization():
            f"{mc_checks} MC cases; symmetrization sandwich exact + MC at reps = 1e5")
 
 
+@pytest.mark.slow
 def test_criterion_8_sequential_test():
     t_all = time.time()
     pair = HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.25, 0.75)))

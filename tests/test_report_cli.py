@@ -619,3 +619,52 @@ def test_run_config_theorem1_matrix_empty_level_grid_exits_2(tmp_path):
     assert "a level in a_grid" in res.output
     with pytest.raises(ConfigurationError, match="a level in a_grid"):
         run_experiment(spec)
+
+
+_SWEEP = {"kind": "sprt-sweep", "config": _BERN_CONF, "errors": [1e-1], "reps": 10}
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (dict(_SWEEP, reps=10.9), "reps"),
+        (dict(_SWEEP, true_index=True), "true_index"),
+        (dict(_SWEEP, seed=False), "seed"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": True})},
+         "true_index"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": 0.5})},
+         "true_index"),
+        ({"kind": "sprt-run", "config": _BERN_CONF, "simulate": {"true_index": 1.5}},
+         "true_index"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, horizon=10.9, stream=[1] * 20)},
+         "horizon"),
+        ({"kind": "counterexample", "prefix": True}, "prefix"),
+    ],
+)
+def test_run_config_integer_field_refuses_bool_and_fraction(tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"field {field!r} has an invalid value" in res.output
+    with pytest.raises(ConfigurationError, match=f"field {field!r}"):
+        run_experiment(spec)
+
+
+def test_run_config_integral_float_keeps_its_bytes():
+    as_int, _ = run_experiment(dict(_SWEEP, reps=10, true_index=1, seed=3))
+    as_float, _ = run_experiment(dict(_SWEEP, reps=10.0, true_index=1.0, seed=3.0))
+    assert render_json(as_float) == render_json(as_int)
+
+
+def test_run_experiment_rejects_boolean_threads():
+    with pytest.raises(ConfigurationError, match="threads must be an integer"):
+        run_experiment({"kind": "counterexample", "prefix": 10, "threads": True})
+
+
+def test_run_config_sprt_sweep_without_errors_exits_2(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(_SWEEP, errors=[])))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "at least one target error" in res.output

@@ -4,7 +4,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from bklab.errors import ConfigurationError, DataError
+from bklab.errors import ConfigurationError, DataError, DomainError
 from bklab.functions import power
 from bklab.sprt import (
     HypothesisSet,
@@ -238,3 +238,16 @@ def test_hypothesis_index_out_of_range_is_refused(index):
 def test_hypothesis_index_accepts_numpy_integers():
     BERN_PAIR.check_index(np.int64(1))
     assert simulate_runs(BERN_PAIR, (10.0, 10.0), np.int64(1), 10, 16, 0).tau.shape == (10,)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_is_refused(horizon):
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        rejection_rate(BERN_PAIR, 10.0, 0, 10, horizon)
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        simulate_runs(BERN_PAIR, (10.0, 10.0), 0, 10, horizon, 0)
+
+
+def test_optimality_sweep_refuses_no_target_errors():
+    with pytest.raises(ConfigurationError, match="at least one target error"):
+        optimality_sweep(BERN_PAIR, [], 0, power(1), 10)
