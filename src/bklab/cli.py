@@ -30,7 +30,7 @@ from .distributions import (
     moment_xg,
     parse_dist_spec,
 )
-from .errors import ConfigurationError, LabError
+from .errors import ConfigurationError, DomainError, LabError
 from .functions import DEFAULT_AUDIT_GRID, GridSpec, doubling_ratio_sup, parse_function_spec
 from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estimate_series
 from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
@@ -292,6 +292,8 @@ def _exp_sprt_run(v):
     conf = v.config
     horizon = conf.horizon if v.horizon is None else v.horizon
     stream = conf.stream if v.stream is None else v.stream
+    if horizon < 1:  # before a simulate block draws ``horizon`` symbols
+        raise DomainError("horizon must be >= 1")
     if stream is None:
         sim = conf.simulate if v.simulate is None else v.simulate
         if sim is None:

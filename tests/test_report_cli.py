@@ -252,6 +252,11 @@ def test_run_experiment_rejects_non_integer_threads():
         run_experiment({"kind": "counterexample", "prefix": 10, "threads": "two"})
 
 
+def test_run_experiment_rejects_boolean_threads():
+    with pytest.raises(ConfigurationError, match="threads must be an integer"):
+        run_experiment({"kind": "counterexample", "prefix": 10, "threads": True})
+
+
 def test_cli_series_zero_reps_exits_2():
     runner = CliRunner()
     res = runner.invoke(
@@ -263,6 +268,10 @@ def test_cli_series_zero_reps_exits_2():
     assert "replicate count must be >= 1" in res.output
 
 
+_BERN_CONF = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]], "levels": [10.0, 10.0]}
+_SWEEP = {"kind": "sprt-sweep", "config": _BERN_CONF, "errors": [1e-1], "reps": 10}
+
+
 @pytest.mark.parametrize(
     "spec,field",
     [
@@ -270,6 +279,19 @@ def test_cli_series_zero_reps_exits_2():
         ({"kind": "last-exit", "dist": "rademacher", "g": "power:r=1", "a": 0.5,
           "horizon": [64]}, "horizon"),
         ({"kind": "series", "dist": "rademacher", "g": "power:r=1", "a": "half"}, "a"),
+        # integer fields refuse booleans and fractional floats instead of truncating
+        ({"kind": "counterexample", "prefix": True}, "prefix"),
+        (dict(_SWEEP, reps=10.9), "reps"),
+        (dict(_SWEEP, true_index=True), "true_index"),
+        (dict(_SWEEP, seed=False), "seed"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": True})},
+         "true_index"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": 0.5})},
+         "true_index"),
+        ({"kind": "sprt-run", "config": _BERN_CONF, "simulate": {"true_index": 1.5}},
+         "true_index"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, horizon=10.9, stream=[1] * 20)},
+         "horizon"),
     ],
 )
 def test_run_config_wrong_type_exits_2(tmp_path, spec, field):
@@ -580,9 +602,6 @@ def test_cli_moderate_audit_growth_threshold_at_most_1_exits_2(threshold):
     assert "growth_threshold must exceed 1" in res.output
 
 
-_BERN_CONF = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]], "levels": [10.0, 10.0]}
-
-
 @pytest.mark.parametrize("index", ["5", "-1"])
 def test_cli_sprt_sweep_true_index_out_of_range_exits_2(tmp_path, index):
     path = tmp_path / "conf.json"
@@ -621,45 +640,10 @@ def test_run_config_theorem1_matrix_empty_level_grid_exits_2(tmp_path):
         run_experiment(spec)
 
 
-_SWEEP = {"kind": "sprt-sweep", "config": _BERN_CONF, "errors": [1e-1], "reps": 10}
-
-
-@pytest.mark.parametrize(
-    "spec,field",
-    [
-        (dict(_SWEEP, reps=10.9), "reps"),
-        (dict(_SWEEP, true_index=True), "true_index"),
-        (dict(_SWEEP, seed=False), "seed"),
-        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": True})},
-         "true_index"),
-        ({"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": 0.5})},
-         "true_index"),
-        ({"kind": "sprt-run", "config": _BERN_CONF, "simulate": {"true_index": 1.5}},
-         "true_index"),
-        ({"kind": "sprt-run", "config": dict(_BERN_CONF, horizon=10.9, stream=[1] * 20)},
-         "horizon"),
-        ({"kind": "counterexample", "prefix": True}, "prefix"),
-    ],
-)
-def test_run_config_integer_field_refuses_bool_and_fraction(tmp_path, spec, field):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    res = CliRunner().invoke(main, ["run", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"field {field!r} has an invalid value" in res.output
-    with pytest.raises(ConfigurationError, match=f"field {field!r}"):
-        run_experiment(spec)
-
-
 def test_run_config_integral_float_keeps_its_bytes():
     as_int, _ = run_experiment(dict(_SWEEP, reps=10, true_index=1, seed=3))
     as_float, _ = run_experiment(dict(_SWEEP, reps=10.0, true_index=1.0, seed=3.0))
     assert render_json(as_float) == render_json(as_int)
-
-
-def test_run_experiment_rejects_boolean_threads():
-    with pytest.raises(ConfigurationError, match="threads must be an integer"):
-        run_experiment({"kind": "counterexample", "prefix": 10, "threads": True})
 
 
 def test_run_config_sprt_sweep_without_errors_exits_2(tmp_path):
@@ -668,3 +652,14 @@ def test_run_config_sprt_sweep_without_errors_exits_2(tmp_path):
     res = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert res.exit_code == 2, res.output
     assert "at least one target error" in res.output
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_run_config_sprt_run_simulate_horizon_below_one_exits_2(tmp_path, horizon):
+    spec = {"kind": "sprt-run", "config": dict(_BERN_CONF, simulate={"true_index": 0}),
+            "horizon": horizon}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "horizon must be >= 1" in res.output

@@ -41,6 +41,8 @@ SETS = {
     ),
 }
 SINGLE = HypothesisSet(alphabet=(0.0,), masses=((1.0,), (1.0,)))
+# one symbol whose mass is accepted although it rounds below 1
+SHORT = HypothesisSet(alphabet=(0.0,), masses=((1 - 1e-13,), (1 - 1e-13,)))
 DRAW_COUNTS = (1, 3, 7, 1001, 4097, 100_003)  # none a multiple of Philox's 4-word buffer
 HORIZONS = (1, 1023, 1025, 2048, 3073)  # 3073: the carry crosses two chunk ends
 LEVELS = (1.5, 10.0, 1000.0)
@@ -81,6 +83,29 @@ def test_sample_indices_match_searchsorted(name):
             assert got.shape == want.shape == (n,)
             assert np.array_equal(got, want), (name, i, n)
         assert np.array_equal(ours.random(5), ref.random(5))  # same state after
+
+
+class _Fixed:
+    """A generator stand-in whose ``random`` returns the given doubles."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("name", [*SETS, "single", "short"])
+def test_sample_indices_at_and_beside_every_threshold(name):
+    """Random draws almost never land on a cumulative mass; these do."""
+    hyp = SETS.get(name, SINGLE if name == "single" else SHORT)
+    for i in range(hyp.m):
+        cums = hyp._cums[i]
+        u = np.concatenate([cums, np.nextafter(cums, 0), np.nextafter(cums, 1), [0.0]])
+        u = u[u < 1.0]
+        got = hyp.sample_indices(_Fixed(u), i, len(u))
+        assert np.array_equal(got, ref_sample_indices(hyp, _Fixed(u), i, len(u))), (name, i)
 
 
 def test_sample_indices_thresholds_at_one():
