@@ -4,6 +4,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
+from bklab import rng
 from bklab.errors import ConfigurationError, DataError, DomainError
 from bklab.functions import power
 from bklab.sprt import (
@@ -11,7 +12,6 @@ from bklab.sprt import (
     LevelVector,
     estimate_G_moment,
     estimate_errors,
-    log_ratio_update,
     optimality_sweep,
     rejection_rate,
     run_test,
@@ -22,6 +22,15 @@ BERN_PAIR = HypothesisSet(
     alphabet=(0.0, 1.0),
     masses=((0.5, 0.5), (0.25, 0.75)),
 )
+BERN_TRIPLE = HypothesisSet(
+    alphabet=(0.0, 1.0),
+    masses=((0.5, 0.5), (0.25, 0.75), (0.75, 0.25)),
+)
+
+
+def _log_ratios(hyp, obs):
+    """log R^i after the observations ``obs``, read through ``run_test``."""
+    return run_test(hyp, (math.inf,) * hyp.m, iter(obs), len(obs)).log_ratios_at_tau
 
 
 def test_hypothesis_set_validation():
@@ -35,38 +44,34 @@ def test_hypothesis_set_validation():
     hyp = HypothesisSet(
         alphabet=(0.0, 1.0), masses=((1.0, 0.0), (0.25, 0.75)), strict=False
     )
-    state = log_ratio_update(np.zeros(2), 1.0, hyp)
+    state = _log_ratios(hyp, [1.0])
     assert math.isinf(state[0]) and state[0] > 0
 
 
-def test_log_ratio_update_hand_value():
+def test_log_ratios_hand_value():
     # mixture reference: p(1) = (1/2 + 3/4)/2 = 5/8; delta log R^1 = log(5/4)
-    state = log_ratio_update(np.zeros(2), 1.0, BERN_PAIR)
+    state = _log_ratios(BERN_PAIR, [1.0])
     assert state[0] == pytest.approx(math.log(5.0 / 4.0))
     assert state[1] == pytest.approx(math.log((5.0 / 8.0) / (3.0 / 4.0)))
 
 
-def test_log_ratio_update_identical_laws():
+def test_log_ratios_identical_laws():
     hyp = HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.5, 0.5)))
-    state = np.zeros(2)
-    for y in (0.0, 1.0, 1.0, 0.0):
-        state = log_ratio_update(state, y, hyp)
-    assert np.allclose(state, 0.0)
+    assert np.allclose(_log_ratios(hyp, [0.0, 1.0, 1.0, 0.0]), 0.0)
 
 
-def test_log_ratio_update_reference_equals_candidate():
+def test_log_ratios_reference_equals_candidate():
     hyp = HypothesisSet(
         alphabet=(0.0, 1.0),
         masses=((0.5, 0.5), (0.25, 0.75)),
         reference=(0.5, 0.5),
     )
-    state = log_ratio_update(np.zeros(2), 1.0, hyp)
-    assert state[0] == 0.0
+    assert _log_ratios(hyp, [1.0])[0] == 0.0
 
 
-def test_log_ratio_update_unknown_symbol():
+def test_run_test_unknown_symbol():
     with pytest.raises(DataError):
-        log_ratio_update(np.zeros(2), 2.0, BERN_PAIR)
+        run_test(BERN_PAIR, (10.0, 10.0), iter([2.0]), 1)
 
 
 def test_kl_values():
@@ -109,24 +114,30 @@ def test_level_vector_validation():
 
 
 def test_three_hypotheses_minmax():
-    hyp = HypothesisSet(
-        alphabet=(0.0, 1.0),
-        masses=((0.5, 0.5), (0.25, 0.75), (0.75, 0.25)),
-    )
-    record = run_test(hyp, (5.0, 5.0, 5.0), repeat(1.0), 500)
+    record = run_test(BERN_TRIPLE, (5.0, 5.0, 5.0), repeat(1.0), 500)
     if not record.censored:
         # stop at the (m-1)-th rejection; the unrejected index wins
         assert sum(r is not None for r in record.rho) >= 2
         assert record.check_coherence()
 
 
-def test_simulate_runs_matches_run_test_m2():
-    # with m = 2, tau is the smaller finite rejecting step
-    runs = simulate_runs(BERN_PAIR, (20.0, 20.0), 1, 500, 512, seed=4)
-    alive = ~runs.censored
-    assert alive.any()
-    assert np.all(runs.tau[alive] >= 1)
-    assert set(np.unique(runs.decision[alive])) <= {0, 1}
+@pytest.mark.parametrize("hyp", [BERN_PAIR, BERN_TRIPLE], ids=["pair", "triple"])
+def test_simulate_runs_matches_run_test_m2(hyp):
+    """Replicates replayed through ``run_test`` stop at the same step with the
+    same decision.  A block's step n of column c is draw (n - 1) * size + c of
+    the block's substream, so one call drawing size * horizon symbols, read
+    column-wise, gives every replicate its own observations."""
+    levels, reps, horizon, seed = (20.0,) * hyp.m, 4100, 512, 4
+    runs = simulate_runs(hyp, levels, 1, reps, horizon, seed)
+    assert (~runs.censored).any()
+    for start, size, gen in rng.blocks(reps, seed, rng.STREAM_SPRT, 0):
+        idx = hyp.sample_indices(gen, 1, size * horizon).reshape(horizon, size)
+        for c in [*range(0, size, 41), size - 1]:
+            rec = run_test(hyp, levels, (hyp.alphabet[k] for k in idx[:, c]), horizon)
+            r = start + c
+            assert rec.censored == runs.censored[r], r
+            if not rec.censored:
+                assert (rec.tau, rec.decision) == (runs.tau[r], runs.decision[r]), r
 
 
 def test_m2_tau_is_min_of_rejecting_times():
