@@ -72,7 +72,6 @@ from .sprt import (
     LevelVector,
     estimate_G_moment,
     estimate_errors,
-    log_ratio_update,
     optimality_sweep,
     rejection_rate,
     run_test,

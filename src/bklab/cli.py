@@ -30,7 +30,7 @@ from .distributions import (
     moment_xg,
     parse_dist_spec,
 )
-from .errors import ConfigurationError, DomainError, LabError
+from .errors import ConfigurationError, LabError
 from .functions import DEFAULT_AUDIT_GRID, GridSpec, doubling_ratio_sup, parse_function_spec
 from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estimate_series
 from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
@@ -83,8 +83,15 @@ def _parse(fields, spec: dict) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
+def _float(value) -> float:
+    """A float field; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _float_list(values) -> tuple:
@@ -151,7 +158,7 @@ _COMMON = (_Field("seed", _int, 0), _Field("threads", _threads, 1))
 _SIMULATE = _Field("simulate", lambda b: _parse((_Field("true_index", _int),), dict(b)), None)
 _DIST = _Field("dist", parse_dist_spec, _REQUIRED, 'Law spec, e.g. "pareto2:beta=1.5".')
 _G = _Field("g", parse_function_spec, _REQUIRED, 'Function spec, e.g. "power:r=2" or "exp:b=0.5".')
-_A = _Field("a", float, _REQUIRED, "Deviation level a.")
+_A = _Field("a", _float, _REQUIRED, "Deviation level a.")
 _HORIZON = _Field("horizon", _int, 2**13, "Steps simulated per path.")
 _REPS = _Field("reps", _int, 20_000, "Replicate paths.")
 _N_MAX = _Field("n_max", _int, 2**14, "Last term of the series partial sum.")
@@ -292,16 +299,15 @@ def _exp_sprt_run(v):
     conf = v.config
     horizon = conf.horizon if v.horizon is None else v.horizon
     stream = conf.stream if v.stream is None else v.stream
-    if horizon < 1:  # before a simulate block draws ``horizon`` symbols
-        raise DomainError("horizon must be >= 1")
     if stream is None:
         sim = conf.simulate if v.simulate is None else v.simulate
         if sim is None:
             raise ConfigurationError("sprt-run needs a stream or a simulate block")
         conf.hyp.check_index(sim.true_index)
         gen = _rng.substream(v.seed, _rng.STREAM_SPRT, 99)
-        idx = conf.hyp.sample_indices(gen, sim.true_index, horizon)
-        stream = [conf.hyp.alphabet[k] for k in idx]
+        draw = lambda g, n: conf.hyp.sample_indices(g, sim.true_index, n)
+        chunks = _rng.walk(draw, 1, gen, horizon)  # drawn as the test reads them
+        stream = (conf.hyp.alphabet[k] for _n, idx in chunks for k in idx[0])
     record = run_test(conf.hyp, conf.levels, iter(stream), horizon)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -425,20 +431,20 @@ _CONFIG_HELP = "JSON file: alphabet, hypotheses, optional reference and strict"
 _KINDS = {
     "moderate-audit": _Kind(_exp_moderate_audit, (
         _G,
-        _Field("t_min", float, DEFAULT_AUDIT_GRID.t_min, "Smallest grid point."),
-        _Field("t_max", float, DEFAULT_AUDIT_GRID.t_max, "Largest grid point."),
+        _Field("t_min", _float, DEFAULT_AUDIT_GRID.t_min, "Smallest grid point."),
+        _Field("t_max", _float, DEFAULT_AUDIT_GRID.t_max, "Largest grid point."),
         _Field("points", _int, DEFAULT_AUDIT_GRID.points, "Points of the geometric grid."),
-        _Field("growth_threshold", float, 1.5, "Per-decade ratio rise that flags growth."),
+        _Field("growth_threshold", _float, 1.5, "Per-decade ratio rise that flags growth."),
     )),
     "last-exit": _Kind(_exp_last_exit, (
         _DIST, _G, _A, _HORIZON._replace(default=2**12), _REPS,
-        _Field("center", float, 0.0, "Deviation center of S_n/n."),
+        _Field("center", _float, 0.0, "Deviation center of S_n/n."),
     )),
     "series": _Kind(_exp_series, (_DIST, _G, _A, _N_MAX, _REPS_PER_BLOCK), csv=True),
     "bounds": _Kind(_exp_bounds, (
         _Field("prop", str, _REQUIRED, "Audit: 1, 2, 3 or sym."),
         _DIST, _G,
-        _Field("alpha", float, 0.5, "Proposition 1 weight alpha."),
+        _Field("alpha", _float, 0.5, "Proposition 1 weight alpha."),
         _Field("p", _int, None, "Proposition 2 exponent (default: the smallest admissible)."),
         _A._replace(default=1.0), _HORIZON, _REPS, _N_MAX, _REPS_PER_BLOCK,
     )),
@@ -566,7 +572,7 @@ def _option(f: _Field) -> click.Option:
     if f.key == "config":
         value_type = click.Path(exists=True)
     else:
-        value_type = {_int: int, float: float}.get(f.convert, str)
+        value_type = {_int: int, _float: float}.get(f.convert, str)
     required = f.default is _REQUIRED
     return click.Option(["--" + f.key.replace("_", "-"), f.key], type=value_type, required=required,
                         default=None if required else f.default,

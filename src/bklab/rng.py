@@ -10,10 +10,12 @@ The layout says which draw goes to which (replicate, step).  ``blocks`` cuts
 the replicates, in order, into blocks of ``BLOCK`` = 4096 paths; block ``b``
 draws from ``substream(seed, *key, b)`` alone.  ``walk`` reads a block's
 stream in chunks of ``CHUNK`` = 2048 steps (``sprt.rejection_rate`` uses 1024,
-``sprt.simulate_runs`` one): each chunk is one ``draw(gen, size * steps)``
-reshaped row-major to ``(size, steps)``, so path ``i`` takes the ``i``-th run
-of ``steps`` consecutive draws, and only the last chunk may be shorter.  Any
-change to the layout changes every simulated report for a fixed seed.
+``sprt.simulate_runs`` one; the ``sprt run`` simulate block walks one path in
+``CHUNK`` steps as the test reads them): each chunk is one ``draw(gen, size *
+steps)`` reshaped row-major to ``(size, steps)``, so path ``i`` takes the
+``i``-th run of ``steps`` consecutive draws, and only the last chunk may be
+shorter.  Any change to the layout changes every simulated report for a
+fixed seed.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """Wald's multi-hypothesis sequential test on i.i.d. observation streams.
 
 The state is the per-hypothesis log likelihood ratio log R^i_n of a
-reference law P against the candidate P_i; hypothesis i is rejected the
-first time R^i_n reaches its level c_i.  The test stops once all but one
-candidate are rejected and decides for the hypothesis whose rejecting time
-is largest (or still pending), with ties broken toward the smallest index.
+reference law P against the candidate P_i.  Hypothesis i is rejected at its
+first passage rho_i, the first n at which R^i_n reaches its level c_i, and
+rho_i does not depend on when the test stops.  So the test stops at the
+(m-1)-th smallest passage, tau = min_i max_{j != i} rho_j, and decides for
+the hypothesis whose passage is largest, passages after tau counting as
+pending, with ties broken toward the smallest index.  ``run_test`` and
+``simulate_runs`` share this rule: ``_passages`` and then ``_decide``.
 
 The reference defaults to the uniform mixture of the candidates, which is
 locally equivalent to each of them and keeps the log ratios bounded below;
 it can be overridden.  All arithmetic is in log space.  A run is strictly
-sequential in n (the stopping rule is adapted, no lookahead); replicated
-runs follow the stream layout of ``rng.blocks`` and ``rng.walk``.
+sequential in n (no observation after tau is read); replicated runs follow
+the stream layout of ``rng.blocks`` and ``rng.walk``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import ConfigurationError, DataError, DomainError
 from .functions import ModerateFunction
 from .lastexit import CENSOR_BOUND
 
-_RHO_UNSET = 0  # sentinel inside the batch arrays; public records use None
 _HORIZON_FACTOR = 6.0  # a sweep row runs for 6 n* + 64 steps,
 _MIN_HORIZON = 256  # but at least 256
 
@@ -52,6 +54,8 @@ class HypothesisSet:
         if m < 2:
             raise ConfigurationError("need at least 2 candidate laws")
         k = len(self.alphabet)
+        if len({float(v) for v in self.alphabet}) != k:
+            raise ConfigurationError("alphabet symbols must be distinct")
         for row in self.masses:
             if len(row) != k:
                 raise ConfigurationError("mass rows must match the alphabet length")
@@ -94,10 +98,8 @@ class HypothesisSet:
     @cached_property
     def _increments(self) -> np.ndarray:
         """(m, K) table of log p(y) - log p_i(y); +inf marks zero candidate mass."""
-        with np.errstate(divide="ignore"):
-            log_ref = np.log(self._reference)
-            log_p = np.log(self._masses)
-        inc = log_ref[None, :] - log_p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inc = np.log(self._reference)[None, :] - np.log(self._masses)
         inc[:, self._reference <= 0] = np.nan  # outside every support
         return inc
 
@@ -214,42 +216,51 @@ class DecisionRecord:
         return keys[self.decision] == max(keys)
 
 
-def log_ratio_update(state, y, hyp: HypothesisSet) -> np.ndarray:
-    """Advance every log R^i by one observation; infinite entries encode the
-    immediate rejection of a candidate with zero mass at y."""
-    k = hyp.index_of(y)
-    inc = hyp._increments[:, k]
-    if np.any(np.isnan(inc)):
-        raise DataError(f"observation {y!r} lies outside every candidate support")
-    return np.asarray(state, dtype=float) + inc
+def _passages(inc, logc, steps, runs: int):
+    """First passages ``rho`` (m, runs) of log R^i over ``logc[i]``, 0 while
+    none, and the log ratios at the last step read.  ``steps`` gives each
+    step's symbol index per run; reading stops once every run has m - 1
+    passages, i.e. has stopped."""
+    m = len(logc)
+    log_r = np.zeros((m, runs))
+    rho = np.zeros((m, runs), dtype=np.int64)
+    for n, ys in enumerate(steps, 1):
+        log_r += inc[:, ys]
+        hit = log_r >= logc[:, None]
+        hit &= rho == 0
+        if hit.any():
+            rho[hit] = n
+            if (np.count_nonzero(rho, axis=0) >= m - 1).all():
+                break
+    return rho, log_r
+
+
+def _decide(rho):
+    """``(tau, decision)`` per run from its first passages: tau is the (m-1)-th
+    smallest passage and the decision the hypothesis whose passage is largest,
+    passages after tau counting as pending, ties to the smaller index; both
+    are -1 for a run that has not stopped."""
+    key = np.where(rho > 0, rho, np.inf)
+    tau = np.sort(key, axis=0)[len(rho) - 2]
+    key[key > tau] = np.inf
+    stopped = tau < np.inf
+    decision = np.argmax(key, axis=0)
+    return np.where(stopped, tau, -1).astype(np.int64), np.where(stopped, decision, -1)
 
 
 def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord:
-    """Consume observations until the test stops or the horizon is hit.
-
-    The stop happens at the first n where all but one candidate are rejected;
-    that n equals min_i max_{j != i} rho_j with pending rejections read as
-    +inf.  A horizon hit returns a censored record with the partial rho.
-    """
-    if hyp.m < 2:
-        raise ConfigurationError("the min-max stopping rule needs m >= 2")
+    """Consume observations until the test stops (reading none after tau) or
+    the horizon or the stream ends, which returns a censored record with the
+    partial rho.  The log ratios are those at the last observation read."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     logc = as_levels(levels, hyp.m).log()
-    state = np.zeros(hyp.m)
-    rho: list[int | None] = [None] * hyp.m
-    n = 0
-    for y in islice(stream, horizon):
-        n += 1
-        state = log_ratio_update(state, y, hyp)
-        for i in range(hyp.m):
-            if rho[i] is None and state[i] >= logc[i]:
-                rho[i] = n
-        if sum(r is not None for r in rho) >= hyp.m - 1:
-            keys = [math.inf if r is None else r for r in rho]
-            best = max(range(hyp.m), key=lambda i: (keys[i], -i))
-            return DecisionRecord(n, False, best, tuple(rho), tuple(float(s) for s in state))
-    return DecisionRecord(None, True, None, tuple(rho), tuple(float(s) for s in state))
+    steps = ([hyp.index_of(y)] for y in islice(stream, horizon))
+    rho, log_r = _passages(hyp._increments, logc, steps, 1)
+    (tau,), (decision,) = _decide(rho)
+    tau, decision = (int(tau), int(decision)) if tau >= 0 else (None, None)
+    rho = tuple(int(r) if r else None for r in rho[:, 0])
+    return DecisionRecord(tau, tau is None, decision, rho, tuple(float(s) for s in log_r[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +281,6 @@ def simulate_runs(
     reps: int,
     horizon: int,
     seed: int,
-    *,
-    stream: int = 0,
 ) -> BatchRuns:
     """Replicated Wald runs under P_true; one substream per replicate block,
     draws taken for every column each step so results do not depend on which
@@ -280,34 +289,14 @@ def simulate_runs(
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     logc = as_levels(levels, hyp.m).log()
-    m = hyp.m
-    inc = hyp._increments
-    if np.any(np.isnan(inc[:, hyp._masses[true_index] > 0])):
-        raise DataError("the true law puts mass outside every candidate support")
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, stream)  # checks reps before np.full
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0)  # checks reps before np.full
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
     for start, size, gen in layout:
-        log_r = np.zeros((m, size))
-        rho = np.zeros((m, size), dtype=np.int64)
-        done = np.zeros(size, dtype=bool)
-        tau_blk = tau[start : start + size]
-        dec_blk = decision[start : start + size]
-        for n, ys in _rng.walk(draw, size, gen, horizon, chunk=1):
-            log_r += inc[:, ys[:, 0]]
-            crossed = (log_r >= logc[:, None]) & (rho == _RHO_UNSET) & (~done)[None, :]
-            if crossed.any():
-                rho[crossed] = n
-            newly = (~done) & ((rho > 0).sum(axis=0) >= m - 1)
-            if newly.any():
-                cols = np.nonzero(newly)[0]
-                tau_blk[cols] = n
-                masked = np.where(rho[:, cols] == _RHO_UNSET, np.inf, rho[:, cols])
-                dec_blk[cols] = np.argmax(masked, axis=0)
-                done |= newly
-            if done.all():
-                break
+        steps = (ys[:, 0] for _n, ys in _rng.walk(draw, size, gen, horizon, chunk=1))
+        rho, _ = _passages(hyp._increments, logc, steps, size)
+        tau[start : start + size], decision[start : start + size] = _decide(rho)
     return BatchRuns(tau=tau, decision=decision, censored=tau < 0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bklab import cli
+from bklab import cli, rng
 from bklab.bounds import BoundReport
 from bklab.cli import main, run_experiment, theorem1_row
 from bklab.errors import ConfigurationError
@@ -16,6 +16,7 @@ from bklab.report import (
     render_csv,
     render_json,
 )
+from bklab.sprt import HypothesisSet
 
 
 def test_bound_report_payload_field_order():
@@ -292,6 +293,14 @@ _SWEEP = {"kind": "sprt-sweep", "config": _BERN_CONF, "errors": [1e-1], "reps": 
          "true_index"),
         ({"kind": "sprt-run", "config": dict(_BERN_CONF, horizon=10.9, stream=[1] * 20)},
          "horizon"),
+        # float fields refuse booleans instead of reading them as 0 or 1
+        ({"kind": "series", "dist": "rademacher", "g": "power:r=1", "a": True}, "a"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, alphabet=[False, True], stream=[1] * 20)},
+         "alphabet"),
+        ({"kind": "sprt-run", "config": dict(_BERN_CONF, levels=[True, 10.0], stream=[1] * 20)},
+         "levels"),
+        (dict(_SWEEP, errors=[True]), "errors"),
+        ({"kind": "sprt-run", "config": _BERN_CONF, "stream": [True] * 20}, "stream"),
     ],
 )
 def test_run_config_wrong_type_exits_2(tmp_path, spec, field):
@@ -663,3 +672,30 @@ def test_run_config_sprt_run_simulate_horizon_below_one_exits_2(tmp_path, horizo
     res = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert res.exit_code == 2, res.output
     assert "horizon must be >= 1" in res.output
+
+
+def test_sprt_run_repeated_alphabet_symbol_exits_2(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(dict(_BERN_CONF, alphabet=[0, 0], stream=[0] * 20)))
+    res = CliRunner().invoke(main, ["sprt", "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "alphabet symbols must be distinct" in res.output
+
+
+def test_sprt_run_simulate_draws_a_chunk_at_a_time(tmp_path, monkeypatch):
+    """A simulate block draws its symbols as the test reads them, so a huge
+    horizon neither allocates it up front nor delays a quick decision."""
+    calls = []
+    sample_indices = HypothesisSet.sample_indices
+
+    def recording(self, gen, i, n):
+        calls.append(n)
+        return sample_indices(self, gen, i, n)
+
+    monkeypatch.setattr(HypothesisSet, "sample_indices", recording)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(dict(_BERN_CONF, simulate={"true_index": 1})))
+    res = CliRunner().invoke(main, ["sprt", "run", "--config", str(path), "--horizon", "100000000"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["tau"] is not None
+    assert calls and max(calls) <= rng.CHUNK

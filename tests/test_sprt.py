@@ -34,12 +34,20 @@ def _log_ratios(hyp, obs):
 
 
 def test_hypothesis_set_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="at least 2"):
         HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5),))
     with pytest.raises(ConfigurationError):
         HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.7, 0.2)))
     with pytest.raises(ConfigurationError):
         HypothesisSet(alphabet=(0.0, 1.0), masses=((1.0, 0.0), (0.25, 0.75)))
+    # an explicit reference must be positive wherever some P_i is, so no
+    # symbol the true law draws lies outside every support
+    with pytest.raises(ConfigurationError, match="positive wherever"):
+        HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.25, 0.75)), reference=(1.0, 0.0))
+    # repeated symbols: index_of would read every 0.0 as the last copy
+    for alphabet in ((0.0, 0.0), (0.0, -0.0), (1, 1.0)):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            HypothesisSet(alphabet=alphabet, masses=((0.5, 0.5), (0.25, 0.75)))
     # non-strict allows a zero mass: rejection becomes immediate
     hyp = HypothesisSet(
         alphabet=(0.0, 1.0), masses=((1.0, 0.0), (0.25, 0.75)), strict=False
