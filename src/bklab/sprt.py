@@ -5,9 +5,9 @@ reference law P against the candidate P_i.  Hypothesis i is rejected at its
 first passage rho_i, the first n at which R^i_n reaches its level c_i, and
 rho_i does not depend on when the test stops.  So the test stops at the
 (m-1)-th smallest passage, tau = min_i max_{j != i} rho_j, and decides for
-the hypothesis whose passage is largest, passages after tau counting as
-pending, with ties broken toward the smallest index.  ``run_test`` and
-``simulate_runs`` share this rule: ``_passages`` and then ``_decide``.
+the hypothesis whose passage is largest or still pending, with ties broken
+toward the smallest index.  ``run_test`` and ``simulate_runs`` share this
+rule: ``_passages`` and then ``_decide``.
 
 The reference defaults to the uniform mixture of the candidates, which is
 locally equivalent to each of them and keeps the log ratios bounded below;
@@ -238,11 +238,11 @@ def _passages(inc, logc, steps, runs: int):
 def _decide(rho):
     """``(tau, decision)`` per run from its first passages: tau is the (m-1)-th
     smallest passage and the decision the hypothesis whose passage is largest,
-    passages after tau counting as pending, ties to the smaller index; both
-    are -1 for a run that has not stopped."""
+    a pending one counting as +inf, ties to the smaller index; both are -1 for
+    a run that has not stopped.  Only the largest passage can come after tau,
+    so it decides as it would while pending."""
     key = np.where(rho > 0, rho, np.inf)
     tau = np.sort(key, axis=0)[len(rho) - 2]
-    key[key > tau] = np.inf
     stopped = tau < np.inf
     decision = np.argmax(key, axis=0)
     return np.where(stopped, tau, -1).astype(np.int64), np.where(stopped, decision, -1)
