@@ -165,3 +165,20 @@ def test_cli_option_names_unchanged():
     assert got == OPTIONS
     assert {o for p in main.params for o in p.opts} == {
         "--out", "--format", "--seed", "--threads", "--stamp"}
+
+
+# theorem1-matrix in the shape of the benchmark's ``paths`` op: continuous
+# and heavy-tailed laws, three levels, horizon 2048.  Its simulations may run
+# on any number of threads and must give the same report.
+PATHS_MATRIX = ["theorem1-matrix", "--dists",
+                "gaussian:sigma=1,uniform:w=1,pareto2:beta=4,pareto2:beta=1.5",
+                "--g", "power:r=1", "--a-grid", "0.25,0.5,1", "--reps", "4000",
+                "--horizon", "2048", "--n-max", "4096", "--reps-per-block", "2000"]
+PATHS_MATRIX_PIN = ("a450dc3982460085cd59e17136f12a8da60817ba55ad8ed0421f78a5309b1770", 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_paths_matrix_digest_at_any_thread_count(threads):
+    res = CliRunner().invoke(main, ["--seed", "7", "--threads", str(threads)] + PATHS_MATRIX)
+    got = (hashlib.sha256(res.stdout_bytes).hexdigest(), res.exit_code)
+    assert got == PATHS_MATRIX_PIN, res.output

@@ -1,0 +1,117 @@
+"""Bit-equality of the path kernels against their plain reference forms.
+
+``ref_sample_array`` is each continuous sampler written as one expression
+that allocates a new array per operation; ``ref_last_exit_samples`` is the
+general last-exit scan, which subtracts ``center * n`` from every running sum
+even at center 0.  The library samplers must give the same bits and leave
+the generator in the same state, and ``last_exit_samples`` the same values
+and censor flags.
+
+The stream pins in ``tests/test_streams.py`` all run at a = 0.05, where the
+exclusion bound skips no segment; these cases use a in {0.25, 0.5, 1}, so
+the skip branch, the carry of the running sums and the scan all run, with
+4100 paths (two replicate blocks) and horizons that end on a chunk boundary
+(2048) and inside a chunk (2500).
+"""
+
+import numpy as np
+import pytest
+
+from bklab import rng
+from bklab.distributions import Gaussian, TriangularSymmetric, TwoSidedPareto, UniformSymmetric
+from bklab.lastexit import _SEG_STEPS, PathConfig, last_exit_samples
+
+LAWS = {
+    "gaussian-1": Gaussian(1.0),
+    "gaussian-2.5": Gaussian(2.5),
+    "uniform-1": UniformSymmetric(1.0),
+    "uniform-3": UniformSymmetric(3.0),
+    "pareto2-1.5": TwoSidedPareto(1.5),
+    "pareto2-4": TwoSidedPareto(4.0),
+    "pareto2-1.5-scale2": TwoSidedPareto(1.5, 2.0),
+    "pareto2-4-scale2": TwoSidedPareto(4.0, 2.0),
+    # exponents -1 and -1/2: the power operator has scalar fast paths
+    "pareto2-1": TwoSidedPareto(1.0),
+    "pareto2-2": TwoSidedPareto(2.0),
+    "triangular": TriangularSymmetric(2.0),
+}
+DTYPES = {"f32": np.float32, "f64": np.float64}
+SIZES = (1, 7, 4096, 100_003)
+REPS = 4100
+
+
+def ref_sample_array(dist, gen, n, dtype):
+    ftype = np.float32 if dtype == np.float32 else np.float64
+    if isinstance(dist, Gaussian):
+        return gen.standard_normal(n, dtype=ftype) * dist.sigma
+    u = gen.random(n, dtype=ftype)
+    if isinstance(dist, UniformSymmetric):
+        return (2.0 * u - 1.0) * dist.half_width
+    v = 2.0 * u - 1.0
+    if isinstance(dist, TriangularSymmetric):
+        mag = dist.half_width * (1.0 - np.sqrt(1.0 - np.abs(v)))
+        return np.copysign(mag, v)
+    quantum = ftype(2.0**-23 if ftype == np.float32 else 2.0**-53)
+    mag = np.maximum(np.abs(v), quantum) ** (-1.0 / dist.beta)
+    if dist.scale != 1.0:
+        mag *= dist.scale
+    return np.copysign(mag, v)
+
+
+def ref_last_exit_samples(dist, a, cfg):
+    horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
+    values = np.zeros(reps, dtype=np.int64)
+    draw = lambda gen, n: ref_sample_array(dist, gen, n, np.float32)
+    for start, size, gen in rng.blocks(reps, cfg.seed, rng.STREAM_LASTEXIT, 0):
+        running = np.zeros(size)
+        last = values[start : start + size]
+        for n0, draws in rng.walk(draw, size, gen, horizon):
+            steps = draws.shape[1]
+            for j0 in range(0, steps, _SEG_STEPS):
+                j1 = min(j0 + _SEG_STEPS, steps)
+                seg = draws[:, j0:j1]
+                m0 = n0 + j0
+                m_hi = n0 + j1 - 1
+                l1 = np.abs(seg).sum(axis=1, dtype=np.float64)
+                if float((np.abs(running) + l1).max()) + abs(x) * m_hi < a * m0:
+                    running += seg.sum(axis=1, dtype=np.float64)
+                    continue
+                cums = np.cumsum(seg, axis=1, dtype=np.float64)
+                cums += running[:, None]
+                running = cums[:, -1].copy()
+                ns = np.arange(m0, m_hi + 1, dtype=float)
+                dev = np.abs(cums - x * ns) >= a * ns
+                hit = dev.any(axis=1)
+                if hit.any():
+                    lastpos = (j1 - j0) - 1 - np.argmax(dev[:, ::-1], axis=1)
+                    np.copyto(last, m0 + lastpos, where=hit)
+    censored = (values >= horizon / 2.0) & (values >= 1)
+    return values, censored
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_sample_array_matches_reference(law, dtype):
+    dist, ftype = LAWS[law], DTYPES[dtype]
+    gen, ref_gen = rng.substream(5, 1), rng.substream(5, 1)
+    for n in SIZES:
+        _same_bits(dist.sample_array(gen, n, ftype), ref_sample_array(dist, ref_gen, n, ftype))
+    _same_bits(gen.random(3), ref_gen.random(3))  # the same generator state
+
+
+@pytest.mark.parametrize("center", [0.0, 0.3])
+@pytest.mark.parametrize("horizon", [2048, 2500])
+@pytest.mark.parametrize("law", ["gaussian-1", "uniform-1", "pareto2-1.5", "triangular"])
+def test_last_exit_samples_matches_reference(law, horizon, center):
+    dist = LAWS[law]
+    for a in (0.25, 0.5, 1.0):
+        cfg = PathConfig(horizon, REPS, 3, center)
+        batch = last_exit_samples(dist, a, cfg)
+        values, censored = ref_last_exit_samples(dist, a, cfg)
+        _same_bits(batch.values, values)
+        _same_bits(batch.censored, censored)
