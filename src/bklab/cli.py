@@ -5,8 +5,9 @@ fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
 ``run --config file.json``) against those fields, and every subcommand is
 built from them, one option per field, so both share names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
-Matrix cells may run concurrently; each cell draws its seed from the root
-seed and the cell coordinates, so reports are identical for any ``--threads``.
+A matrix's simulations (per law, the deviation profile and one last-exit
+batch per level) may run concurrently; each draws its seed from the root seed
+and its cell coordinates, so reports are identical for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
@@ -32,7 +34,13 @@ from .distributions import (
 )
 from .errors import ConfigurationError, LabError
 from .functions import DEFAULT_AUDIT_GRID, GridSpec, doubling_ratio_sup, parse_function_spec
-from .lastexit import PathConfig, deviation_profile, estimate_EG_lastexit, estimate_series
+from .lastexit import (
+    PathConfig,
+    deviation_profile,
+    estimate_EG_lastexit,
+    estimate_series,
+    last_exit_samples,
+)
 from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
 from .report import bound_report_payload, emit
 from .sprt import HypothesisSet, optimality_sweep, run_test
@@ -341,6 +349,18 @@ def _exp_sprt_sweep(v):
     return payload, 0
 
 
+def _row_simulations(dist, seed: int, *, reps, horizon, n_max, reps_per_block, a_grid) -> list:
+    """The simulations of one matrix cell, as calls without arguments: the
+    deviation profile, then one last-exit batch per level."""
+    profile = partial(deviation_profile, dist, n_max, reps_per_block,
+                      _rng.derive_seed(seed, 71), stream=71)
+    batches = [
+        partial(last_exit_samples, dist, float(a), PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)))
+        for k, a in enumerate(a_grid)
+    ]
+    return [profile] + batches
+
+
 def theorem1_row(
     dist_spec: str,
     g_spec: str,
@@ -351,18 +371,26 @@ def theorem1_row(
     reps_per_block: int,
     a_grid=DEFAULT_A_GRID,
     seed: int = 0,
+    profile=None,
+    batches=None,
 ) -> dict:
     """Evaluate the three equivalence verdicts for one (dist, G) cell.
 
     (a) is the moment functional verdict, (b) the series verdict over the
     a-grid, (c) the last-exit integrability verdict from censoring.  The row
     is consistent when all three are of the same kind, finite or divergent.
+    ``profile`` and ``batches`` (one last-exit batch per level) are the
+    results of ``_row_simulations`` run elsewhere; when absent, the row runs
+    them itself.
     """
     dist = parse_dist_spec(dist_spec)
     g = parse_function_spec(g_spec)
     moment = moment_xg(dist, g)
+    sims = _row_simulations(dist, seed, reps=reps, horizon=horizon, n_max=n_max,
+                            reps_per_block=reps_per_block, a_grid=a_grid)
 
-    profile = deviation_profile(dist, n_max, reps_per_block, _rng.derive_seed(seed, 71), stream=71)
+    if profile is None:
+        profile = sims[0]()
     series_verdicts = [
         estimate_series(dist, g, float(a), n_max, reps_per_block, seed, profile=profile).verdict
         for a in a_grid
@@ -375,8 +403,12 @@ def theorem1_row(
     else:
         b_verdict = SERIES[None]
 
-    cfgs = [PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)) for k in range(len(a_grid))]
-    last_exits = [estimate_EG_lastexit(dist, g, float(a), cfg) for a, cfg in zip(a_grid, cfgs)]
+    if batches is None:
+        batches = [sim() for sim in sims[1:]]
+    cfg = PathConfig(horizon, reps)  # the batches hold the draws; cfg gives the center
+    last_exits = [
+        estimate_EG_lastexit(dist, g, float(a), cfg, batch=batch) for a, batch in zip(a_grid, batches)
+    ]
     c_verdict = LAST_EXIT[DIVERGENT if any(e.horizon_warning for e in last_exits) else FINITE]
 
     kinds = [moment.verdict.kind, b_verdict.kind, c_verdict.kind]
@@ -398,20 +430,26 @@ def _exp_theorem1_matrix(v):
     """Check that the moment, series, and last-exit verdicts agree per law."""
     if not v.dists or not v.a_grid:
         raise ConfigurationError("theorem1-matrix needs a law in dists and a level in a_grid")
+    parse_function_spec(v.g)  # a bad G fails before any simulation
     sizes = dict(a_grid=v.a_grid, reps=v.reps, horizon=v.horizon, n_max=v.n_max,
                  reps_per_block=v.reps_per_block)
-
-    def _cell(idx_spec):
-        idx, ds = idx_spec
-        return theorem1_row(ds, v.g, seed=_rng.derive_seed(v.seed, _rng.STREAM_CELL, idx), **sizes)
-
-    jobs = list(enumerate(v.dists))
-    workers = min(v.threads, len(jobs), os.cpu_count() or 1)
+    seeds = [_rng.derive_seed(v.seed, _rng.STREAM_CELL, idx) for idx in range(len(v.dists))]
+    # The pool runs simulations, not cells: a cell's simulations cost about
+    # the same, while whole cells differ in cost and are few.
+    sims = [sim for ds, seed in zip(v.dists, seeds)
+            for sim in _row_simulations(parse_dist_spec(ds), seed, **sizes)]
+    workers = min(v.threads, len(sims), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell, jobs))
+            results = list(pool.map(lambda sim: sim(), sims))
     else:
-        rows = [_cell(j) for j in jobs]
+        results = [sim() for sim in sims]
+    per_cell = 1 + len(v.a_grid)
+    rows = [
+        theorem1_row(ds, v.g, seed=seed, profile=results[i * per_cell],
+                     batches=results[i * per_cell + 1 : (i + 1) * per_cell], **sizes)
+        for i, (ds, seed) in enumerate(zip(v.dists, seeds))
+    ]
     all_consistent = all(r["consistent"] for r in rows)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -542,7 +580,7 @@ def _run(ctx, spec):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Root seed; cell seeds derive from it.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for matrix cells (at least 1; capped at cells and cores).")
+              help="Worker threads for matrix simulations (at least 1; capped at simulations and cores).")
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp field to the report.")
 @click.pass_context
 def main(ctx, out, fmt, seed, threads, stamp):

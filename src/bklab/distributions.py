@@ -259,8 +259,11 @@ class UniformSymmetric(Distribution):
         return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
-        u = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
-        return (2.0 * u - 1.0) * self.half_width
+        x = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
+        x *= 2.0
+        x -= 1.0
+        x *= self.half_width
+        return x
 
     def abs_pdf(self, x):
         return 1.0 / self.half_width if 0 <= x <= self.half_width else 0.0
@@ -307,16 +310,22 @@ class TwoSidedPareto(Distribution):
         # the quantized uniform then carries the same mass as the true tail
         # beyond the resulting cap, instead of inflating it.
         if dtype == np.float32:
-            u = gen.random(n, dtype=np.float32)
+            v = gen.random(n, dtype=np.float32)
             quantum = dtype(2.0**-23)
         else:
-            u = gen.random(n)
+            v = gen.random(n)
             quantum = dtype(2.0**-53)
-        v = 2.0 * u - 1.0
-        mag = np.maximum(np.abs(v), quantum) ** (-1.0 / self.beta)
+        # The transforms work in place on the generator's fresh array: the
+        # same ufunc loops in the same dtype give the same bits, with two
+        # arrays alive instead of four.
+        v *= 2.0
+        v -= 1.0
+        mag = np.abs(v)
+        np.maximum(mag, quantum, out=mag)
+        mag **= -1.0 / self.beta
         if self.scale != 1.0:
             mag *= self.scale
-        return np.copysign(mag, v)
+        return np.copysign(mag, v, out=mag)
 
     def abs_pdf(self, x):
         if x < self.scale:
@@ -363,7 +372,9 @@ class Gaussian(Distribution):
         return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
-        return gen.standard_normal(n, dtype=np.float32 if dtype == np.float32 else np.float64) * self.sigma
+        x = gen.standard_normal(n, dtype=np.float32 if dtype == np.float32 else np.float64)
+        x *= self.sigma
+        return x
 
     def abs_pdf(self, x):
         if x < 0:
@@ -405,10 +416,15 @@ class TriangularSymmetric(Distribution):
         return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
-        u = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
-        v = 2.0 * u - 1.0
-        mag = self.half_width * (1.0 - np.sqrt(1.0 - np.abs(v)))
-        return np.copysign(mag, v)
+        v = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
+        v *= 2.0
+        v -= 1.0
+        mag = np.abs(v)
+        np.subtract(1.0, mag, out=mag)
+        np.sqrt(mag, out=mag)
+        np.subtract(1.0, mag, out=mag)
+        mag *= self.half_width
+        return np.copysign(mag, v, out=mag)
 
     def abs_pdf(self, x):
         w = self.half_width

@@ -44,6 +44,8 @@ class PathConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.replicates < 1:
             raise DomainError("horizon and replicates must be >= 1")
+        if not math.isfinite(self.center):
+            raise DomainError(f"the deviation center must be finite, got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,10 @@ def _f32(dist: Distribution):
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
     """Largest n <= N with |Y_n - x| >= a (0 if none), censored when that n
     falls in the final dyadic block [N/2, N]."""
-    if a <= 0:
-        raise DomainError("a must be positive")
+    if not 0 < a < math.inf:  # NaN passes no comparison
+        raise DomainError(f"a must be finite and positive, got {a!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"the deviation center must be finite, got {x!r}")
     arr = np.asarray(path, dtype=float)
     if arr.size == 0:
         raise DomainError("path must be nonempty")
@@ -102,8 +106,8 @@ def last_exit_samples(
 ) -> LastExitBatch:
     """Last-exit times of U_n = S_n/n from cfg.center at level a, one per
     replicate, measured up to the horizon."""
-    if a <= 0:
-        raise DomainError("a must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError(f"a must be finite and positive, got {a!r}")
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
     values = np.zeros(reps, dtype=np.int64)
     for start, size, gen in _rng.blocks(reps, cfg.seed, _rng.STREAM_LASTEXIT, stream):
@@ -128,7 +132,9 @@ def last_exit_samples(
                 cums += running[:, None]
                 running = cums[:, -1].copy()
                 ns = np.arange(m0, m_hi + 1, dtype=float)
-                dev = np.abs(cums - x * ns) >= a * ns
+                if x != 0.0:
+                    cums -= x * ns
+                dev = np.abs(cums, out=cums) >= a * ns
                 hit = dev.any(axis=1)
                 if hit.any():
                     lastpos = (j1 - j0) - 1 - np.argmax(dev[:, ::-1], axis=1)
@@ -202,8 +208,8 @@ def tail_prob_mean(
     Monte Carlo otherwise."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if a < 0:
-        raise DomainError("a must be nonnegative")
+    if not 0 <= a < math.inf:
+        raise DomainError(f"a must be finite and nonnegative, got {a!r}")
     if a == 0:
         return TailProbEstimate(1.0, 0.0, True)
     if dist.lattice is not None and n <= 20:
@@ -371,8 +377,8 @@ def estimate_series(
     times the average of the measured endpoint probabilities.  The verdict is
     evidence-grade, from the trend of the last block contributions.
     """
-    if a <= 0:
-        raise DomainError("a must be positive")
+    if not 0 < a < math.inf:
+        raise DomainError(f"a must be finite and positive, got {a!r}")
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     n_small = min(n_small, n_max)

@@ -54,6 +54,9 @@ class HypothesisSet:
         if m < 2:
             raise ConfigurationError("need at least 2 candidate laws")
         k = len(self.alphabet)
+        if not all(math.isfinite(v) for v in self.alphabet):
+            # no observation read from a stream could ever equal a NaN symbol
+            raise ConfigurationError(f"alphabet symbols must be finite, got {list(self.alphabet)}")
         if len({float(v) for v in self.alphabet}) != k:
             raise ConfigurationError("alphabet symbols must be distinct")
         for row in self.masses:

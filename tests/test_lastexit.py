@@ -222,3 +222,26 @@ def test_deterministic_for_fixed_seed():
 def test_exact_dev_prob_rejects_n_below_1(n):
     with pytest.raises(DomainError, match="n must be >= 1"):
         exact_dev_prob(rademacher(), n, 0.5)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_levels_must_be_finite_and_positive(a):
+    gauss = Gaussian(1.0)
+    calls = [
+        lambda: last_exit_time([0.5, 0.2], a),
+        lambda: last_exit_samples(gauss, a, PathConfig(64, 10)),
+        lambda: estimate_series(gauss, power(1), a, 128, 100),
+    ]
+    if a != 0.0:  # P[|S_n/n| >= 0] = 1 is a valid tail probability
+        calls.append(lambda: tail_prob_mean(gauss, 50, a, 100))
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_center_must_be_finite(x):
+    with pytest.raises(DomainError, match="center must be finite"):
+        PathConfig(64, 10, center=x)
+    with pytest.raises(DomainError, match="center must be finite"):
+        last_exit_time([0.5, 0.2], 0.1, x)

@@ -346,6 +346,30 @@ def test_sprt_strict_must_be_a_json_boolean(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["last-exit", "--a", "nan"], ["last-exit", "--a", "inf"], ["last-exit", "--a", "1", "--center", "nan"],
+     ["series", "--a", "nan"], ["series", "--a", "inf"]],
+)
+def test_cli_nonfinite_level_or_center_exits_2(args):
+    law = ["--dist", "gaussian:sigma=1", "--g", "power:r=1", "--reps", "10", "--horizon", "16"]
+    if args[0] == "series":
+        law = law[:4] + ["--n-max", "16", "--reps-per-block", "10"]
+    res = CliRunner().invoke(main, args + law)
+    assert res.exit_code == 2, res.output
+    assert "must be finite" in res.output
+
+
+def test_sprt_run_nonfinite_alphabet_exits_2(tmp_path):
+    # json reads NaN; no observation read from a stream could match it
+    path = tmp_path / "conf.json"
+    path.write_text('{"alphabet": [NaN, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]], '
+                    '"levels": [20.0, 20.0], "stream": [NaN, 1, 1]}')
+    res = CliRunner().invoke(main, ["sprt", "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "alphabet symbols must be finite" in res.output
+
+
+@pytest.mark.parametrize(
     "args,field",
     [
         (["sprt", "sweep", "--config", "{conf}", "--errors", "abc", "--reps", "10"], "errors"),
@@ -398,14 +422,20 @@ def test_cli_csv_without_csv_form_exits_2(tmp_path, kind, args):
 
 
 @pytest.mark.parametrize(
-    "threads,cells,cores,expected",
-    [(64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (4, 1, 8, None), (4, 4, 1, None)],
+    "threads,cells,levels,cores,expected",
+    [(64, 2, 3, 8, 8), (64, 5, 3, 3, 3), (2, 5, 3, 8, 2), (4, 1, 3, 8, 4), (8, 1, 1, 8, 2),
+     (1, 3, 3, 8, None), (4, 4, 3, 1, None)],
 )
-def test_matrix_pool_capped_at_cells_and_cores(monkeypatch, threads, cells, cores, expected):
-    sizes = []
+def test_matrix_pool_capped_at_simulations_and_cores(
+    monkeypatch, threads, cells, levels, cores, expected
+):
+    """The pool runs each cell's deviation profile and its last-exit batch per
+    level, so it sees cells * (1 + levels) jobs and holds at most that many
+    workers, and no more than threads and cores."""
+    sizes, jobs = [], []
 
     class RecordingPool:
-        """Records the pool size and runs the cells inline: no thread starts."""
+        """Records the pool size and the jobs, and runs them inline: no thread starts."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -416,22 +446,34 @@ def test_matrix_pool_capped_at_cells_and_cores(monkeypatch, threads, cells, core
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, sims):
+            jobs.extend(sims)
             return map(fn, jobs)
 
-    def fake_row(dist_spec, g_spec, **kwargs):
+    def fake_profile(dist, n_max, reps, seed, *, stream):
+        return ("profile", dist.spec_string())
+
+    def fake_batch(dist, a, cfg):
+        return ("batch", dist.spec_string(), a)
+
+    def fake_row(dist_spec, g_spec, *, a_grid, profile, batches, **kwargs):
+        assert profile == ("profile", dist_spec)
+        assert batches == [("batch", dist_spec, a) for a in a_grid]
         return {"dist": dist_spec, "verdict_a": "finite", "verdict_b": "finite",
                 "verdict_c": "finite", "consistent": True}
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "deviation_profile", fake_profile)
+    monkeypatch.setattr(cli, "last_exit_samples", fake_batch)
     monkeypatch.setattr(cli, "theorem1_row", fake_row)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     dists = [f"uniform:w={k + 1}" for k in range(cells)]
-    payload, code = run_experiment(
-        {"kind": "theorem1-matrix", "dists": dists, "g": "power:r=1", "threads": threads}
-    )
+    a_grid = [0.25 * (k + 1) for k in range(levels)]
+    payload, code = run_experiment({"kind": "theorem1-matrix", "dists": dists,
+                                    "g": "power:r=1", "a_grid": a_grid, "threads": threads})
     assert code == 0 and [r["dist"] for r in payload["rows"]] == dists
     assert sizes == ([] if expected is None else [expected])
+    assert len(jobs) == (0 if expected is None else cells * (1 + levels))
 
 
 # ---------------------------------------------------------------------------

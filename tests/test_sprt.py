@@ -48,6 +48,10 @@ def test_hypothesis_set_validation():
     for alphabet in ((0.0, 0.0), (0.0, -0.0), (1, 1.0)):
         with pytest.raises(ConfigurationError, match="distinct"):
             HypothesisSet(alphabet=alphabet, masses=((0.5, 0.5), (0.25, 0.75)))
+    # a NaN symbol never equals an observation read from a stream
+    for alphabet in ((math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            HypothesisSet(alphabet=alphabet, masses=((0.5, 0.5), (0.25, 0.75)))
     # non-strict allows a zero mass: rejection becomes immediate
     hyp = HypothesisSet(
         alphabet=(0.0, 1.0), masses=((1.0, 0.0), (0.25, 0.75)), strict=False
