@@ -132,6 +132,7 @@ def last_exit_samples(
                 cums += running[:, None]
                 running = cums[:, -1].copy()
                 ns = np.arange(m0, m_hi + 1, dtype=float)
+                # running holds a copy, so cums is free to overwrite
                 if x != 0.0:
                     cums -= x * ns
                 dev = np.abs(cums, out=cums) >= a * ns
