@@ -17,7 +17,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from bklab.cli import main
+from bklab.cli import main, theorem1_row
+from bklab.report import render_json
 
 SPRT_CONF = {"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]],
              "levels": [20.0, 20.0], "stream": [1] * 40}
@@ -182,3 +183,21 @@ def test_paths_matrix_digest_at_any_thread_count(threads):
     res = CliRunner().invoke(main, ["--seed", "7", "--threads", str(threads)] + PATHS_MATRIX)
     got = (hashlib.sha256(res.stdout_bytes).hexdigest(), res.exit_code)
     assert got == PATHS_MATRIX_PIN, res.output
+
+
+# theorem1_row called directly, as criterion 4 calls it: one law, its own
+# simulations, one thread.
+ROW_SIZES = dict(a_grid=(0.25, 0.5, 1.0), reps=3000, horizon=2**10, n_max=2**11,
+                 reps_per_block=1500, seed=5)
+ROW_PINS = {
+    "rademacher": "2f4f1a99659b8f8223c39a9d709cad48093efd1a57f53241a972dfd03331af32",
+    "gaussian:sigma=1": "ab1254f154981a7ebdfd2384c3bc73df2e3f4320cceb08e10656624d455c4bda",
+    "pareto2:beta=1.5": "016400a753676c495757e99845f6c9d4da90405bfc54034b2765268deb92c677",
+    "bernoulli:p=0.75,v0=-3,v1=1": "d006552e9593ea877db74bad13351294f0e7297641add4e0d2c92b29ffaaacba",
+}
+
+
+@pytest.mark.parametrize("dist", list(ROW_PINS))
+def test_theorem1_row_digest(dist):
+    row = theorem1_row(dist, "power:r=1", **ROW_SIZES)
+    assert hashlib.sha256(render_json(row)).hexdigest() == ROW_PINS[dist]
