@@ -5,9 +5,10 @@ fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
 ``run --config file.json``) against those fields, and every subcommand is
 built from them, one option per field, so both share names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
-A matrix's simulations (per law, the deviation profile and one last-exit
-batch per level) may run concurrently; each draws its seed from the root seed
-and its cell coordinates, so reports are identical for any ``--threads``.
+``_theorem1_rows`` is the one place that plans and pools a matrix's
+simulations (per law, the deviation profile and one last-exit batch per
+level); each draws its seed from the root seed and its cell coordinates, so
+reports are identical for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
@@ -36,6 +38,9 @@ from .errors import ConfigurationError, LabError
 from .functions import DEFAULT_AUDIT_GRID, GridSpec, doubling_ratio_sup, parse_function_spec
 from .lastexit import (
     PathConfig,
+    check_centered,
+    check_level,
+    check_profile,
     deviation_profile,
     estimate_EG_lastexit,
     estimate_series,
@@ -349,107 +354,81 @@ def _exp_sprt_sweep(v):
     return payload, 0
 
 
-def _row_simulations(dist, seed: int, *, reps, horizon, n_max, reps_per_block, a_grid) -> list:
-    """The simulations of one matrix cell, as calls without arguments: the
-    deviation profile, then one last-exit batch per level."""
-    profile = partial(deviation_profile, dist, n_max, reps_per_block,
-                      _rng.derive_seed(seed, 71), stream=71)
-    batches = [
-        partial(last_exit_samples, dist, float(a), PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)))
-        for k, a in enumerate(a_grid)
-    ]
-    return [profile] + batches
-
-
-def theorem1_row(
-    dist_spec: str,
-    g_spec: str,
-    *,
-    reps: int,
-    horizon: int,
-    n_max: int,
-    reps_per_block: int,
-    a_grid=DEFAULT_A_GRID,
-    seed: int = 0,
-    profile=None,
-    batches=None,
-) -> dict:
-    """Evaluate the three equivalence verdicts for one (dist, G) cell.
+def _theorem1_row(dist, g, a_grid, profile, batches) -> dict:
+    """The three equivalence verdicts of one law from its simulations: the
+    deviation ``profile`` and one last-exit batch per level of ``a_grid``.
 
     (a) is the moment functional verdict, (b) the series verdict over the
     a-grid, (c) the last-exit integrability verdict from censoring.  The row
     is consistent when all three are of the same kind, finite or divergent.
-    ``profile`` and ``batches`` (one last-exit batch per level) are the
-    results of ``_row_simulations`` run elsewhere; when absent, the row runs
-    them itself.
     """
-    dist = parse_dist_spec(dist_spec)
-    g = parse_function_spec(g_spec)
     moment = moment_xg(dist, g)
-    sims = _row_simulations(dist, seed, reps=reps, horizon=horizon, n_max=n_max,
-                            reps_per_block=reps_per_block, a_grid=a_grid)
-
-    if profile is None:
-        profile = sims[0]()
-    series_verdicts = [
-        estimate_series(dist, g, float(a), n_max, reps_per_block, seed, profile=profile).verdict
-        for a in a_grid
-    ]
+    series_verdicts = [estimate_series(dist, g, a, profile.n_max, profile=profile).verdict for a in a_grid]
     b_kinds = {v.kind for v in series_verdicts}
-    if DIVERGENT in b_kinds:
-        b_verdict = SERIES[DIVERGENT]
-    elif b_kinds == {FINITE}:
-        b_verdict = SERIES[FINITE]
-    else:
-        b_verdict = SERIES[None]
-
-    if batches is None:
-        batches = [sim() for sim in sims[1:]]
-    cfg = PathConfig(horizon, reps)  # the batches hold the draws; cfg gives the center
-    last_exits = [
-        estimate_EG_lastexit(dist, g, float(a), cfg, batch=batch) for a, batch in zip(a_grid, batches)
-    ]
-    c_verdict = LAST_EXIT[DIVERGENT if any(e.horizon_warning for e in last_exits) else FINITE]
+    b_verdict = SERIES[DIVERGENT if DIVERGENT in b_kinds else FINITE if b_kinds == {FINITE} else None]
+    c_verdict = LAST_EXIT[DIVERGENT if any(b.horizon_warning for b in batches) else FINITE]
 
     kinds = [moment.verdict.kind, b_verdict.kind, c_verdict.kind]
     consistent = None not in kinds and len(set(kinds)) == 1
     return {
         "dist": dist.spec_string(),
         "G": g.spec_string(),
-        "a_grid": list(float(a) for a in a_grid),
+        "a_grid": list(a_grid),
         "verdict_a": moment.verdict,
         "verdict_b": b_verdict,
         "verdict_c": c_verdict,
         "series_verdicts": series_verdicts,
-        "censor_rates": [e.censor_rate for e in last_exits],
+        "censor_rates": [b.censor_rate for b in batches],
         "consistent": consistent,
     }
+
+
+def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, reps_per_block,
+                   a_grid) -> list:
+    """The Theorem-1 row of each law under one G, law ``i`` simulated from
+    ``seeds[i]``.  Every input is checked before the first simulation starts.
+    The simulations (per law, the deviation profile, then one last-exit batch
+    per level) run on up to ``threads`` workers, capped at jobs and cores."""
+    g = parse_function_spec(g_spec)
+    dists = [parse_dist_spec(s) for s in dist_specs]
+    levels = [float(a) for a in a_grid]
+    for a in levels:
+        check_level(a)
+    check_profile(n_max, reps_per_block)
+    jobs = []
+    for dist, seed in zip(dists, seeds):
+        check_centered(dist)
+        jobs.append(partial(deviation_profile, dist, n_max, reps_per_block,
+                            _rng.derive_seed(seed, 71), stream=71))
+        jobs += [partial(last_exit_samples, dist, a, PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)))
+                 for k, a in enumerate(levels)]
+    # The pool runs simulations, not laws: a law's simulations cost about
+    # the same, while whole laws differ in cost and are few.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = iter(list(pool.map(lambda job: job(), jobs)))
+    else:
+        results = iter([job() for job in jobs])
+    return [_theorem1_row(dist, g, levels, next(results), list(islice(results, len(levels))))
+            for dist in dists]
+
+
+def theorem1_row(dist_spec: str, g_spec: str, *, reps: int, horizon: int, n_max: int,
+                 reps_per_block: int, a_grid=DEFAULT_A_GRID, seed: int = 0) -> dict:
+    """Evaluate the three equivalence verdicts for one (dist, G) cell; see
+    ``_theorem1_row``.  The cell's simulations run one after another."""
+    return _theorem1_rows([dist_spec], g_spec, [seed], 1, reps=reps, horizon=horizon, n_max=n_max,
+                          reps_per_block=reps_per_block, a_grid=a_grid)[0]
 
 
 def _exp_theorem1_matrix(v):
     """Check that the moment, series, and last-exit verdicts agree per law."""
     if not v.dists or not v.a_grid:
         raise ConfigurationError("theorem1-matrix needs a law in dists and a level in a_grid")
-    parse_function_spec(v.g)  # a bad G fails before any simulation
-    sizes = dict(a_grid=v.a_grid, reps=v.reps, horizon=v.horizon, n_max=v.n_max,
-                 reps_per_block=v.reps_per_block)
     seeds = [_rng.derive_seed(v.seed, _rng.STREAM_CELL, idx) for idx in range(len(v.dists))]
-    # The pool runs simulations, not cells: a cell's simulations cost about
-    # the same, while whole cells differ in cost and are few.
-    sims = [sim for ds, seed in zip(v.dists, seeds)
-            for sim in _row_simulations(parse_dist_spec(ds), seed, **sizes)]
-    workers = min(v.threads, len(sims), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sim: sim(), sims))
-    else:
-        results = [sim() for sim in sims]
-    per_cell = 1 + len(v.a_grid)
-    rows = [
-        theorem1_row(ds, v.g, seed=seed, profile=results[i * per_cell],
-                     batches=results[i * per_cell + 1 : (i + 1) * per_cell], **sizes)
-        for i, (ds, seed) in enumerate(zip(v.dists, seeds))
-    ]
+    rows = _theorem1_rows(v.dists, v.g, seeds, v.threads, reps=v.reps, horizon=v.horizon,
+                          n_max=v.n_max, reps_per_block=v.reps_per_block, a_grid=v.a_grid)
     all_consistent = all(r["consistent"] for r in rows)
     payload = {
         "schema": SCHEMA_VERSION,

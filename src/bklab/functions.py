@@ -42,6 +42,9 @@ class GridSpec:
     spacing: str = "geometric"
 
     def __post_init__(self):
+        for name, t in (("t_min", self.t_min), ("t_max", self.t_max)):
+            if not math.isfinite(t):
+                raise DomainError(f"{name} must be finite, got {t!r}")
         if not (self.t_min < self.t_max):
             raise DomainError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
         if self.points < 2:
@@ -260,8 +263,8 @@ def doubling_ratio_sup(
     """Grid maximum of G(2t)/G(t), plus the exact supremum 2^r for the power
     family.  The verdict flags unbounded growth when the per-decade maximum
     of the ratio still increases by >= growth_threshold at the end of the grid."""
-    if not growth_threshold > 1:  # also rejects NaN
-        raise DomainError("growth_threshold must exceed 1")
+    if not 1 < growth_threshold < math.inf:  # also rejects NaN
+        raise DomainError(f"growth_threshold must exceed 1 and be finite, got {growth_threshold!r}")
     grid = grid or DEFAULT_AUDIT_GRID
     ts = grid.values()
     ts = ts[ts > 0]

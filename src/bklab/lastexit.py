@@ -65,6 +65,10 @@ class LastExitBatch:
     def censor_rate(self) -> float:
         return float(np.mean(self.censored))
 
+    @property
+    def horizon_warning(self) -> bool:  # the censor rate is too high for a clean moment
+        return self.censor_rate > CENSOR_BOUND
+
 
 @dataclass(frozen=True)
 class EGEstimate:
@@ -77,6 +81,25 @@ class EGEstimate:
     replicates: int
 
 
+def check_level(a: float) -> None:
+    """Refuse a deviation level that is not finite and positive."""
+    if not 0 < a < math.inf:  # NaN passes no comparison
+        raise DomainError(f"a must be finite and positive, got {a!r}")
+
+
+def check_centered(dist: Distribution) -> None:
+    """Refuse a law with a nonzero mean, whose deviations from 0 only grow."""
+    if abs(dist.mean()) > 1e-9:
+        raise PreconditionError(f"{dist.name} is not centered; supply the deviation center explicitly")
+
+
+def check_profile(n_max: int, reps: int) -> None:
+    """Refuse the sizes of a deviation profile that cannot run."""
+    if n_max < 2:
+        raise DomainError("n_max must be >= 2")
+    _rng.blocks(reps, 0)  # checks reps at the call and draws nothing
+
+
 def _f32(dist: Distribution):
     """The float32 sampler of ``dist`` as an ``rng.walk`` draw."""
     return lambda gen, n: dist.sample_array(gen, n, np.float32)
@@ -85,8 +108,7 @@ def _f32(dist: Distribution):
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
     """Largest n <= N with |Y_n - x| >= a (0 if none), censored when that n
     falls in the final dyadic block [N/2, N]."""
-    if not 0 < a < math.inf:  # NaN passes no comparison
-        raise DomainError(f"a must be finite and positive, got {a!r}")
+    check_level(a)
     if not math.isfinite(x):
         raise DomainError(f"the deviation center must be finite, got {x!r}")
     arr = np.asarray(path, dtype=float)
@@ -106,8 +128,7 @@ def last_exit_samples(
 ) -> LastExitBatch:
     """Last-exit times of U_n = S_n/n from cfg.center at level a, one per
     replicate, measured up to the horizon."""
-    if not 0 < a < math.inf:
-        raise DomainError(f"a must be finite and positive, got {a!r}")
+    check_level(a)
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
     values = np.zeros(reps, dtype=np.int64)
     for start, size, gen in _rng.blocks(reps, cfg.seed, _rng.STREAM_LASTEXIT, stream):
@@ -159,10 +180,8 @@ def estimate_EG_lastexit(
     the L samples do not depend on G.  A censor rate above ``CENSOR_BOUND``
     sets the horizon warning: the mean then understates the true moment.
     """
-    if cfg.center == 0.0 and abs(dist.mean()) > 1e-9:
-        raise PreconditionError(
-            f"{dist.name} is not centered; supply the deviation center explicitly"
-        )
+    if cfg.center == 0.0:
+        check_centered(dist)
     if batch is None:
         batch = last_exit_samples(dist, a, cfg, stream=stream)
     vals = g.eval(batch.values.astype(float))
@@ -170,8 +189,7 @@ def estimate_EG_lastexit(
     mean = math.fsum(vals) / reps
     var = math.fsum((v - mean) ** 2 for v in vals) / max(reps - 1, 1)
     se = math.sqrt(var / reps)
-    censor_rate = batch.censor_rate
-    return EGEstimate(mean, se, censor_rate, censor_rate > CENSOR_BOUND, reps)
+    return EGEstimate(mean, se, batch.censor_rate, batch.horizon_warning, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +287,18 @@ def deviation_profile(
 ) -> DeviationProfile:
     """Simulate ``reps`` centered paths up to n_max, recording U_n for
     n <= n_small and at dyadic checkpoints n_small, 2 n_small, ..., n_max."""
-    if n_max < 2:
-        raise DomainError("n_max must be >= 2")
+    check_profile(n_max, reps)
     n_small = min(n_small, n_max)
     if n_small > _rng.CHUNK:
         raise DomainError("n_small must fit inside one step chunk")
     endpoints = _series_endpoints(n_small, n_max) if n_max > n_small else np.asarray([], dtype=np.int64)
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream)  # checks reps before np.zeros
     small = np.zeros((reps, n_small))
     epvals = np.zeros((reps, len(endpoints)))
     # Walk to n_max rounded up to whole chunks and read only the steps up to
     # n_max: the per-path layout, and hence every recorded value, is then a
     # prefix of the same run at a larger n_max.
     n_walk = -(-n_max // _rng.CHUNK) * _rng.CHUNK
-    for start, size, gen in layout:
+    for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream):
         running = np.zeros(size)
         for n0, draws in _rng.walk(_f32(dist), size, gen, n_walk):
             steps = min(draws.shape[1], n_max - n0 + 1)
@@ -378,8 +394,7 @@ def estimate_series(
     times the average of the measured endpoint probabilities.  The verdict is
     evidence-grade, from the trend of the last block contributions.
     """
-    if not 0 < a < math.inf:
-        raise DomainError(f"a must be finite and positive, got {a!r}")
+    check_level(a)
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     n_small = min(n_small, n_max)

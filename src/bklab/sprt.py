@@ -426,8 +426,8 @@ def optimality_sweep(
     targets = [float(a) for a in target_errors]
     if not targets:
         raise ConfigurationError("the sweep needs at least one target error")
-    if any(not (0 < a < 1) for a in targets):
-        raise ConfigurationError("target errors must lie in (0, 1)")
+    if any(not (0 < a < 1 and math.isfinite(1.0 / a)) for a in targets):
+        raise ConfigurationError("target errors must lie in (0, 1), with a finite c = 1/a")
     if not all(b < a for a, b in zip(targets, targets[1:])):
         raise ConfigurationError("target errors must be strictly decreasing")
     drifts = []

@@ -206,3 +206,17 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, spacing="geometric")
     lin = GridSpec(0.0, 1.0, 11, "linear").values()
     assert lin[0] == 0.0 and lin[-1] == 1.0
+
+
+@pytest.mark.parametrize("t_min,t_max,bound", [
+    (1.0, math.inf, "t_max"), (1.0, math.nan, "t_max"), (-math.inf, 1.0, "t_min"), (math.nan, 1.0, "t_min"),
+])
+def test_grid_spec_refuses_non_finite_bound(t_min, t_max, bound):
+    with pytest.raises(DomainError, match=f"{bound} must be finite"):
+        GridSpec(t_min, t_max, spacing="linear")
+
+
+def test_doubling_ratio_sup_refuses_infinite_threshold():
+    # log(inf) is a rise no grid can show, so the growth verdict could never fire
+    with pytest.raises(DomainError, match="growth_threshold must exceed 1 and be finite"):
+        doubling_ratio_sup(exponential(1.0), growth_threshold=math.inf)

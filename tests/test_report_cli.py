@@ -456,16 +456,16 @@ def test_matrix_pool_capped_at_simulations_and_cores(
     def fake_batch(dist, a, cfg):
         return ("batch", dist.spec_string(), a)
 
-    def fake_row(dist_spec, g_spec, *, a_grid, profile, batches, **kwargs):
-        assert profile == ("profile", dist_spec)
-        assert batches == [("batch", dist_spec, a) for a in a_grid]
-        return {"dist": dist_spec, "verdict_a": "finite", "verdict_b": "finite",
+    def fake_row(dist, g, a_grid, profile, batches):
+        assert profile == ("profile", dist.spec_string())
+        assert batches == [("batch", dist.spec_string(), a) for a in a_grid]
+        return {"dist": dist.spec_string(), "verdict_a": "finite", "verdict_b": "finite",
                 "verdict_c": "finite", "consistent": True}
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "deviation_profile", fake_profile)
     monkeypatch.setattr(cli, "last_exit_samples", fake_batch)
-    monkeypatch.setattr(cli, "theorem1_row", fake_row)
+    monkeypatch.setattr(cli, "_theorem1_row", fake_row)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     dists = [f"uniform:w={k + 1}" for k in range(cells)]
     a_grid = [0.25 * (k + 1) for k in range(levels)]
@@ -474,6 +474,60 @@ def test_matrix_pool_capped_at_simulations_and_cores(
     assert code == 0 and [r["dist"] for r in payload["rows"]] == dists
     assert sizes == ([] if expected is None else [expected])
     assert len(jobs) == (0 if expected is None else cells * (1 + levels))
+
+
+_MATRIX_SIZES = {"--dists": "rademacher,gaussian:sigma=1", "--a-grid": "0.5,1", "--reps": "100",
+                 "--horizon": "64", "--n-max": "64", "--reps-per-block": "100"}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("option,value,message", [
+    ("--dists", "rademacher,bernoulli:p=0.7", "bernoulli is not centered"),
+    ("--a-grid", "0.5,0", "a must be finite and positive"),
+    ("--a-grid", "0.5,-1", "a must be finite and positive"),
+    ("--a-grid", "nan", "a must be finite and positive"),
+    ("--a-grid", "0.5,inf", "a must be finite and positive"),
+    ("--n-max", "1", "n_max must be >= 2"),
+    ("--reps-per-block", "0", "the replicate count must be >= 1"),
+    ("--horizon", "0", "horizon and replicates must be >= 1"),
+])
+def test_matrix_refuses_bad_input_before_any_simulation(monkeypatch, threads, option, value, message):
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a simulation started before the inputs were checked")
+
+    monkeypatch.setattr(cli, "deviation_profile", recorder)
+    monkeypatch.setattr(cli, "last_exit_samples", recorder)
+    sizes = dict(_MATRIX_SIZES, **{option: value})
+    args = ["--threads", str(threads), "theorem1-matrix", "--g", "power:r=1"]
+    res = CliRunner().invoke(main, args + [f"{k}={v}" for k, v in sizes.items()])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert calls == []
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--growth-threshold", "inf"], "growth_threshold must exceed 1 and be finite"),
+    (["--t-max", "inf"], "t_max must be finite"),
+    (["--t-min", "-inf"], "t_min must be finite"),
+])
+def test_cli_moderate_audit_non_finite_setting_exits_2(args, message):
+    res = CliRunner().invoke(main, ["moderate-audit", "--g", "exp:b=1"] + args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+@pytest.mark.parametrize("errors", ["1e-320", "0.1,5e-324"])
+def test_cli_sprt_sweep_target_error_without_finite_inverse_exits_2(tmp_path, errors):
+    # 1/a overflows to inf below about 5.6e-309, and no horizon can follow it
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]]}))
+    res = CliRunner().invoke(main, ["sprt", "sweep", "--config", str(path), "--errors", errors,
+                                    "--reps", "10"])
+    assert res.exit_code == 2, res.output
+    assert "with a finite c = 1/a" in res.output
 
 
 # ---------------------------------------------------------------------------
