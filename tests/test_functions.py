@@ -214,9 +214,3 @@ def test_grid_spec_validation():
 def test_grid_spec_refuses_non_finite_bound(t_min, t_max, bound):
     with pytest.raises(DomainError, match=f"{bound} must be finite"):
         GridSpec(t_min, t_max, spacing="linear")
-
-
-def test_doubling_ratio_sup_refuses_infinite_threshold():
-    # log(inf) is a rise no grid can show, so the growth verdict could never fire
-    with pytest.raises(DomainError, match="growth_threshold must exceed 1 and be finite"):
-        doubling_ratio_sup(exponential(1.0), growth_threshold=math.inf)

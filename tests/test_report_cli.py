@@ -523,9 +523,8 @@ def test_cli_moderate_audit_non_finite_setting_exits_2(args, message):
 def test_cli_sprt_sweep_target_error_without_finite_inverse_exits_2(tmp_path, errors):
     # 1/a overflows to inf below about 5.6e-309, and no horizon can follow it
     path = tmp_path / "conf.json"
-    path.write_text(json.dumps({"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]]}))
-    res = CliRunner().invoke(main, ["sprt", "sweep", "--config", str(path), "--errors", errors,
-                                    "--reps", "10"])
+    path.write_text(json.dumps(_BERN_CONF))
+    res = CliRunner().invoke(main, ["sprt", "sweep", "--config", str(path), "--errors", errors])
     assert res.exit_code == 2, res.output
     assert "with a finite c = 1/a" in res.output
 
