@@ -227,6 +227,30 @@ def test_rejection_rate_matches_reference_across_blocks():
         assert 0.0 < got[0] < 0.1
 
 
+# One instance answers a sequence of calls: levels ascending, descending and
+# repeated, the index interleaved, then a new seed, reps count and horizon,
+# and 4100 paths, which cross a block seam.
+SEQUENCE = (
+    [(0, c, REPS, 1025, 5) for c in (1.5, 10.0, 1000.0)]
+    + [(0, c, REPS, 1025, 5) for c in (1000.0, 10.0, 1.5)]
+    + [(0, 10.0, REPS, 1025, 5), (0, 10.0, REPS, 1025, 5)]
+    + [(i, c, REPS, 1025, 5) for c in (1.5, 20.0) for i in (1, 0, 1)]
+    + [(0, 10.0, REPS, 1025, 6), (1, 10.0, REPS, 1025, 6), (0, 1.5, REPS, 1025, 5)]
+    + [(0, 10.0, 300, 1025, 5), (0, 10.0, REPS, 2048, 5), (0, 10.0, REPS, 1, 5)]
+    + [(i, c, 4100, 1025, 9) for i in (0, 1) for c in (10.0, 1.5)]
+)
+
+
+def test_rejection_rate_call_sequence_matches_reference():
+    hyp = HypothesisSet(
+        alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.25, 0.75)), reference=(0.49, 0.51)
+    )
+    for i, c, reps, horizon, seed in SEQUENCE:
+        assert rejection_rate(hyp, c, i, reps, horizon, seed) == ref_rejection_rate(
+            hyp, c, i, reps, horizon, seed
+        ), (i, c, reps, horizon, seed)
+
+
 @pytest.mark.parametrize("name", list(SETS))
 def test_simulate_runs_matches_reference_sampler(name, monkeypatch):
     hyp = SETS[name]
