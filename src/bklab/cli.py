@@ -6,9 +6,9 @@ fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
 built from them, one option per field, so both share names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
 ``_theorem1_rows`` is the one place that plans and pools a matrix's
-simulations (per law, the deviation profile and one last-exit batch per
-level); each draws its seed from the root seed and its cell coordinates, so
-reports are identical for any ``--threads``.
+simulations (per law, the deviation profile if the series reads one and
+one last-exit batch per level); each draws its seed from the root seed and
+its cell coordinates, so reports are identical for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .lastexit import (
     estimate_EG_lastexit,
     estimate_series,
     last_exit_samples,
+    needs_profile,
 )
 from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
 from .report import bound_report_payload, emit
@@ -354,16 +355,17 @@ def _exp_sprt_sweep(v):
     return payload, 0
 
 
-def _theorem1_row(dist, g, a_grid, profile, batches) -> dict:
+def _theorem1_row(dist, g, a_grid, n_max, profile, batches) -> dict:
     """The three equivalence verdicts of one law from its simulations: the
-    deviation ``profile`` and one last-exit batch per level of ``a_grid``.
+    deviation ``profile`` up to ``n_max`` (None when the series needs none)
+    and one last-exit batch per level of ``a_grid``.
 
     (a) is the moment functional verdict, (b) the series verdict over the
     a-grid, (c) the last-exit integrability verdict from censoring.  The row
     is consistent when all three are of the same kind, finite or divergent.
     """
     moment = moment_xg(dist, g)
-    series_verdicts = [estimate_series(dist, g, a, profile.n_max, profile=profile).verdict for a in a_grid]
+    series_verdicts = [estimate_series(dist, g, a, n_max, profile=profile).verdict for a in a_grid]
     b_kinds = {v.kind for v in series_verdicts}
     b_verdict = SERIES[DIVERGENT if DIVERGENT in b_kinds else FINITE if b_kinds == {FINITE} else None]
     c_verdict = LAST_EXIT[DIVERGENT if any(b.horizon_warning for b in batches) else FINITE]
@@ -387,19 +389,22 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
                    a_grid) -> list:
     """The Theorem-1 row of each law under one G, law ``i`` simulated from
     ``seeds[i]``.  Every input is checked before the first simulation starts.
-    The simulations (per law, the deviation profile, then one last-exit batch
-    per level) run on up to ``threads`` workers, capped at jobs and cores."""
+    The simulations (per law, the deviation profile if the series reads one,
+    then one last-exit batch per level) run on up to ``threads`` workers,
+    capped at jobs and cores."""
     g = parse_function_spec(g_spec)
     dists = [parse_dist_spec(s) for s in dist_specs]
     levels = [float(a) for a in a_grid]
     for a in levels:
         check_level(a)
     check_profile(n_max, reps_per_block)
+    profiled = [needs_profile(dist, n_max) for dist in dists]
     jobs = []
-    for dist, seed in zip(dists, seeds):
+    for dist, seed, profile in zip(dists, seeds, profiled):
         check_centered(dist)
-        jobs.append(partial(deviation_profile, dist, n_max, reps_per_block,
-                            _rng.derive_seed(seed, 71), stream=71))
+        if profile:
+            jobs.append(partial(deviation_profile, dist, n_max, reps_per_block,
+                                _rng.derive_seed(seed, 71), stream=71))
         jobs += [partial(last_exit_samples, dist, a, PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)))
                  for k, a in enumerate(levels)]
     # The pool runs simulations, not laws: a law's simulations cost about
@@ -410,8 +415,9 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
             results = iter(list(pool.map(lambda job: job(), jobs)))
     else:
         results = iter([job() for job in jobs])
-    return [_theorem1_row(dist, g, levels, next(results), list(islice(results, len(levels))))
-            for dist in dists]
+    return [_theorem1_row(dist, g, levels, n_max, next(results) if profile else None,
+                          list(islice(results, len(levels))))
+            for dist, profile in zip(dists, profiled)]
 
 
 def theorem1_row(dist_spec: str, g_spec: str, *, reps: int, horizon: int, n_max: int,
@@ -551,6 +557,8 @@ def _run(ctx, spec):
         payload, code = run_experiment(spec)
     except LabError as exc:
         _fail(exc)
+    except MemoryError:
+        _fail("the requested sizes need more memory than is available")
     _finish(ctx, payload, code)
 
 

@@ -100,6 +100,13 @@ def check_profile(n_max: int, reps: int) -> None:
     _rng.blocks(reps, 0)  # checks reps at the call and draws nothing
 
 
+def needs_profile(dist: Distribution, n_max: int, n_small: int = 64) -> bool:
+    """Whether ``estimate_series`` reads a deviation profile up to ``n_max``:
+    it does unless the law is a finite lattice, whose terms up to ``n_small``
+    are enumerated exactly, and ``n_max <= n_small``."""
+    return n_max > n_small or dist.lattice is None
+
+
 def _f32(dist: Distribution):
     """The float32 sampler of ``dist`` as an ``rng.walk`` draw."""
     return lambda gen, n: dist.sample_array(gen, n, np.float32)
@@ -402,7 +409,7 @@ def estimate_series(
     w_small = g.eval(head_n) / head_n
 
     head_exact = dist.lattice is not None
-    if profile is None and (n_max > n_small or not head_exact):
+    if profile is None and needs_profile(dist, n_max, n_small):
         profile = deviation_profile(dist, n_max, reps_per_block, seed, n_small=n_small)
     per_path_small = None
     if head_exact:

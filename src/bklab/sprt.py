@@ -14,6 +14,12 @@ locally equivalent to each of them and keeps the log ratios bounded below;
 it can be overridden.  All arithmetic is in log space.  A run is strictly
 sequential in n (no observation after tau is read); replicated runs follow
 the stream layout of ``rng.blocks`` and ``rng.walk``.
+
+Ville's bound P_i[sup_n R^i_n >= c] <= 1/c is a statement about one number
+per path, its peak of log R^i, and the walk that finds it does not depend
+on c.  ``rejection_rate`` keeps the per-path peaks of its latest walk per
+hypothesis index on the ``HypothesisSet``, so a level sweep on one seed
+costs one walk.
 """
 
 from __future__ import annotations
@@ -85,8 +91,14 @@ class HypothesisSet:
 
     def check_index(self, i) -> None:
         """Refuse ``i`` unless it is an integer naming a hypothesis, 0 <= i < m."""
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.m:
+        # a bool is an int, but True is no hypothesis name
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < self.m:
             raise ConfigurationError(f"the hypothesis index must be 0 .. {self.m - 1}, got {i!r}")
+
+    @cached_property
+    def _peak_memo(self) -> dict:
+        """``i -> ((reps, horizon, seed), peaks)`` of ``_peaks``' latest walk."""
+        return {}
 
     @cached_property
     def _masses(self) -> np.ndarray:
@@ -361,6 +373,37 @@ def estimate_G_moment(
     return GMomentEstimate(mean, se, censor_rate, censor_rate > CENSOR_BOUND)
 
 
+def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np.ndarray:
+    """Each path's sup_{n <= horizon} log R^i_n under P_i, read-only.  The
+    latest walk is kept per hypothesis index, so calls that differ only in
+    the level reuse it."""
+    key = (reps, horizon, seed)
+    held = hyp._peak_memo.get(i)
+    if held is not None and held[0] == key:
+        return held[1]
+    inc_i = hyp._increments[i]
+    draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
+    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT)  # checks reps before np.full
+    peaks = np.full(reps, -np.inf)
+    for start, size, gen in layout:
+        carry = np.zeros(size)
+        peak = peaks[start : start + size]
+        for _n0, incs in _rng.walk(draw, size, gen, horizon, chunk=1024):
+            # The carry is added after the max, and gives the same bits as
+            # adding it to every partial sum first: the increments under P_i
+            # are finite and x -> fl(x + carry) is monotone under
+            # round-to-nearest, so max_j fl(c_j + carry) == fl(max_j c_j + carry).
+            # Keeping the peak over chunks instead of OR-ing each chunk's
+            # crossing gives the same bits as well: v_k >= t for some k is
+            # max_k v_k >= t, and finite increments leave no NaN to tell them apart.
+            cums = np.cumsum(incs, axis=1, out=incs)
+            np.maximum(peak, cums.max(axis=1) + carry, out=peak)
+            carry = cums[:, -1] + carry
+    peaks.flags.writeable = False
+    hyp._peak_memo[i] = (key, peaks)
+    return peaks
+
+
 def rejection_rate(
     hyp: HypothesisSet,
     c_i: float,
@@ -370,29 +413,17 @@ def rejection_rate(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Empirical P_i[rho_i <= horizon]: the chance the mean-one ratio R^i
-    ever reaches c_i under its own law, which Ville's inequality caps at 1/c_i."""
+    ever reaches c_i under its own law, which Ville's inequality caps at 1/c_i.
+
+    The walk does not depend on c_i: each path's peak of log R^i is kept
+    per hypothesis index (the latest reps, horizon and seed), so a sweep of
+    levels on one seed costs one walk."""
     hyp.check_index(i)
     if not c_i > 1.0:
         raise ConfigurationError("the level must exceed 1")
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    logc = math.log(c_i)
-    inc_i = hyp._increments[i]
-    draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
-    crossed_total = 0
-    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT):
-        carry = np.zeros(size)
-        crossed = np.zeros(size, dtype=bool)
-        for _n0, incs in _rng.walk(draw, size, gen, horizon, chunk=1024):
-            # The carry is added after the max, and gives the same bits as
-            # adding it to every partial sum first: the increments under P_i
-            # are finite and x -> fl(x + carry) is monotone under
-            # round-to-nearest, so max_j fl(c_j + carry) == fl(max_j c_j + carry).
-            cums = np.cumsum(incs, axis=1, out=incs)
-            crossed |= cums.max(axis=1) + carry >= logc
-            carry = cums[:, -1] + carry
-        crossed_total += int(np.count_nonzero(crossed))
-    p = crossed_total / reps
+    p = int(np.count_nonzero(_peaks(hyp, i, reps, horizon, seed) >= math.log(c_i))) / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
 
 

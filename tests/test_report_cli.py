@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -456,7 +457,7 @@ def test_matrix_pool_capped_at_simulations_and_cores(
     def fake_batch(dist, a, cfg):
         return ("batch", dist.spec_string(), a)
 
-    def fake_row(dist, g, a_grid, profile, batches):
+    def fake_row(dist, g, a_grid, n_max, profile, batches):
         assert profile == ("profile", dist.spec_string())
         assert batches == [("batch", dist.spec_string(), a) for a in a_grid]
         return {"dist": dist.spec_string(), "verdict_a": "finite", "verdict_b": "finite",
@@ -794,3 +795,33 @@ def test_sprt_run_simulate_draws_a_chunk_at_a_time(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["tau"] is not None
     assert calls and max(calls) <= rng.CHUNK
+
+
+# The exact head covers n <= 64 (``lastexit.needs_profile``), so this matrix reads
+# no deviation profile; the digest was recorded while it still simulated one.
+LATTICE_HEAD_MATRIX = ["theorem1-matrix", "--dists", "rademacher", "--g", "power:r=1",
+                       "--n-max", "64", "--reps", "200", "--horizon", "64",
+                       "--reps-per-block", "400"]
+LATTICE_HEAD_PIN = ("411e4823f8f7dfcd3a58c2a81d3ab1581b8ba0ec906700adb1b49486eb82996e", 1)
+
+
+def test_matrix_skips_a_profile_the_exact_head_makes_unread(monkeypatch):
+    def recorder(*args, **kwargs):
+        raise AssertionError("a deviation profile was simulated for an exact head")
+
+    monkeypatch.setattr(cli, "deviation_profile", recorder)
+    res = CliRunner().invoke(main, LATTICE_HEAD_MATRIX)
+    assert (hashlib.sha256(res.stdout_bytes).hexdigest(), res.exit_code) == LATTICE_HEAD_PIN
+
+
+@pytest.mark.parametrize("args", [
+    ["last-exit", "--dist", "gaussian:sigma=1", "--g", "power:r=1", "--a", "1",
+     "--reps", "1000000000000", "--horizon", "16"],
+    ["series", "--dist", "gaussian:sigma=1", "--g", "power:r=1", "--a", "1",
+     "--reps-per-block", "1000000000000"],
+])
+def test_cli_sizes_beyond_memory_exit_2(args):
+    # numpy refuses these allocations (terabytes) up front, so nothing is allocated
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "more memory than is available" in res.output

@@ -244,7 +244,7 @@ def test_sweep_single_row():
     assert rows[0].ratio == pytest.approx(1.0)  # G == 1 normalizes exactly
 
 
-@pytest.mark.parametrize("index", [2, 5, -1, 1.0])
+@pytest.mark.parametrize("index", [2, 5, -1, 1.0, True, False])
 def test_hypothesis_index_out_of_range_is_refused(index):
     with pytest.raises(ConfigurationError, match="hypothesis index"):
         BERN_PAIR.check_index(index)

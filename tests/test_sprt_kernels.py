@@ -251,6 +251,24 @@ def test_rejection_rate_call_sequence_matches_reference():
         ), (i, c, reps, horizon, seed)
 
 
+def test_rejection_rate_walks_once_per_seed(monkeypatch):
+    """Levels on one (i, reps, horizon, seed) share one walk; a new seed walks again."""
+    drawn = []
+    sample = HypothesisSet.sample_indices
+    monkeypatch.setattr(HypothesisSet, "sample_indices",
+                        lambda self, gen, i, n: drawn.append(n) or sample(self, gen, i, n))
+    hyp = HypothesisSet(alphabet=(0.0, 1.0), masses=((0.5, 0.5), (0.25, 0.75)))
+    walk = REPS * 1025
+    for c in LEVELS:
+        rejection_rate(hyp, c, 0, REPS, 1025, 5)
+    assert sum(drawn) == walk
+    rejection_rate(hyp, 10.0, 1, REPS, 1025, 5)
+    rejection_rate(hyp, 10.0, 0, REPS, 1025, 6)
+    assert sum(drawn) == 3 * walk
+    assert len(hyp._peak_memo) == 2  # one walk kept per index
+    assert not hyp._peak_memo[0][1].flags.writeable
+
+
 @pytest.mark.parametrize("name", list(SETS))
 def test_simulate_runs_matches_reference_sampler(name, monkeypatch):
     hyp = SETS[name]
