@@ -1,7 +1,8 @@
 """Bit-equality of the path kernels against their plain reference forms.
 
 ``ref_sample_array`` is each continuous sampler written as one expression
-that allocates a new array per operation; ``ref_last_exit_samples`` is the
+that allocates a new array per operation, and the two-atom sampler as the
+float64 comparison ``u < p0`` feeding ``np.where``; ``ref_last_exit_samples`` is the
 general last-exit scan, which subtracts ``center * n`` from every running sum
 even at center 0.  The library samplers must give the same bits and leave
 the generator in the same state, and ``last_exit_samples`` the same values
@@ -18,7 +19,15 @@ import numpy as np
 import pytest
 
 from bklab import rng
-from bklab.distributions import Gaussian, TriangularSymmetric, TwoSidedPareto, UniformSymmetric
+from bklab.distributions import (
+    Discrete,
+    Gaussian,
+    TriangularSymmetric,
+    TwoSidedPareto,
+    UniformSymmetric,
+    bernoulli,
+    rademacher,
+)
 from bklab.lastexit import _SEG_STEPS, PathConfig, last_exit_samples
 
 LAWS = {
@@ -34,6 +43,13 @@ LAWS = {
     "pareto2-1": TwoSidedPareto(1.0),
     "pareto2-2": TwoSidedPareto(2.0),
     "triangular": TriangularSymmetric(2.0),
+    # two-atom laws: a dyadic and a non-dyadic p0, atoms that differ only in
+    # the sign bit, and atoms far apart in magnitude
+    "rademacher": rademacher(),
+    "bernoulli-0.75": bernoulli(0.75, (-3.0, 1.0)),
+    "bernoulli-third": bernoulli(1.0 / 3.0, (-0.5, 1.0)),
+    "bernoulli-signed-zero": bernoulli(0.25, (-0.0, 0.0)),
+    "bernoulli-tiny": bernoulli(0.5, (1e-8, 1.0)),
 }
 DTYPES = {"f32": np.float32, "f64": np.float64}
 SIZES = (1, 7, 4096, 100_003)
@@ -45,6 +61,10 @@ def ref_sample_array(dist, gen, n, dtype):
     if isinstance(dist, Gaussian):
         return gen.standard_normal(n, dtype=ftype) * dist.sigma
     u = gen.random(n, dtype=ftype)
+    if isinstance(dist, Discrete):
+        # np.float64, not a Python float: the comparison is made in float64
+        p0 = np.float64(dist.probs[0])
+        return np.where(u < p0, ftype(dist.values[0]), ftype(dist.values[1]))
     if isinstance(dist, UniformSymmetric):
         return (2.0 * u - 1.0) * dist.half_width
     v = 2.0 * u - 1.0
@@ -101,12 +121,41 @@ def test_sample_array_matches_reference(law, dtype):
     gen, ref_gen = rng.substream(5, 1), rng.substream(5, 1)
     for n in SIZES:
         _same_bits(dist.sample_array(gen, n, ftype), ref_sample_array(dist, ref_gen, n, ftype))
-    _same_bits(gen.random(3), ref_gen.random(3))  # the same generator state
+    # The same generator state, the buffered 32-bit half of Philox included:
+    # a float64 draw does not read that half, a float32 draw does.
+    _same_bits(gen.random(3, dtype=np.float32), ref_gen.random(3, dtype=np.float32))
+    _same_bits(gen.random(3), ref_gen.random(3))
+
+
+class _Uniforms:
+    """Stands in for a generator: ``random`` hands out fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n, dtype):
+        assert n == self.u.size and dtype == self.u.dtype
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 1000, 2**22 + 7, 2**23, 2**24 - 3, 2**24 - 2, 2**24 - 1])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.999])
+def test_two_atom_cut_is_exact_on_the_float32_grid(k, frac):
+    # A float32 uniform is j * 2^-24; the draws next to p0 = (k + frac) 2^-24
+    # must fall on the side that the float64 comparison u < p0 puts them.
+    p0 = (k + frac) * 2.0**-24
+    dist = Discrete((-1.0, 2.0), (p0, 1.0 - p0))
+    j = np.arange(k - 1, k + 3)
+    u = (j[(j >= 0) & (j < 2**24)] * 2.0**-24).astype(np.float32)
+    want = np.where(u.astype(np.float64) < p0, np.float32(-1.0), np.float32(2.0))
+    _same_bits(dist.sample_array(_Uniforms(u), u.size, np.float32), want)
 
 
 @pytest.mark.parametrize("center", [0.0, 0.3])
 @pytest.mark.parametrize("horizon", [2048, 2500])
-@pytest.mark.parametrize("law", ["gaussian-1", "uniform-1", "pareto2-1.5", "triangular"])
+@pytest.mark.parametrize(
+    "law", ["gaussian-1", "uniform-1", "pareto2-1.5", "triangular", "rademacher", "bernoulli-0.75"]
+)
 def test_last_exit_samples_matches_reference(law, horizon, center):
     dist = LAWS[law]
     for a in (0.25, 0.5, 1.0):
