@@ -39,6 +39,13 @@ _TRUNC_FLOOR = 1e-6
 _TRUNC_CAP = 1e12
 
 
+def _num(x: float) -> str:
+    """``x`` for a spec string: short ``:g`` form when it reads back as
+    ``x``, else the shortest form that does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """E[|X| G(scale |X|)] with an evidence verdict.
@@ -140,7 +147,9 @@ class Discrete(Distribution):
         p = np.asarray(self.probs, dtype=float)
         if len(self.values) != len(p) or len(p) == 0:
             raise DomainError("values and probs must be equal-length and nonempty")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
+        if not np.all(np.isfinite(self._vals)):
+            raise DomainError(f"atoms must be finite, got {self.values}")
+        if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-12):
             raise DomainError("atom masses must be nonnegative and sum to 1 within 1e-12")
 
     @cached_property
@@ -168,11 +177,40 @@ class Discrete(Distribution):
     def mean(self) -> float:
         return float(np.dot(self._vals, self._probs))
 
+    def _two_atom(self, ftype, utype, cut):
+        """``(cut, bits of v1, bits of v0 ^ bits of v1)`` in ``ftype``."""
+        b0, b1 = np.array(self.values, dtype=ftype).view(utype)
+        return ftype(cut), b1, b0 ^ b1
+
+    @cached_property
+    def _two_atom_f64(self) -> tuple:
+        return self._two_atom(np.float64, np.uint64, self._probs[0])
+
+    @cached_property
+    def _two_atom_f32(self) -> tuple:
+        # A float32 uniform is k 2^-24, so u < p0 holds exactly when
+        # u < ceil(p0 2^24) 2^-24, a value float32 holds exactly; p0 rounded
+        # to float32 would not be exact.
+        return self._two_atom(np.float32, np.uint32, math.ceil(self._probs[0] * 2.0**24) * 2.0**-24)
+
     def sample_array(self, gen, n, dtype=np.float64):
-        u = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
+        """Atom i where the uniform u falls in [cum_{i-1}, cum_i).
+
+        Every draw reads one ``gen.random`` uniform in the dtype asked for,
+        whatever the number of atoms, so the stream layout does not depend
+        on the branch.  With two atoms, u < p0 is tested against a cut that
+        is exact on the grid of the draw, in the draw's own dtype, and the
+        atom is picked by its bits, ``((u < cut) * (b0 ^ b1)) ^ b1``, which
+        is exact for any pair, -0.0 included: the values are those of
+        ``np.where(u < p0, v0, v1)`` with the comparison made in float64."""
+        ftype = np.float32 if dtype == np.float32 else np.float64
+        u = gen.random(n, dtype=ftype)
         if len(self.values) == 2:
-            # searchsorted-equivalent two-atom fast path
-            return np.where(u < self._probs[0], dtype(self.values[0]), dtype(self.values[1]))
+            cut, b1, flip = self._two_atom_f32 if ftype is np.float32 else self._two_atom_f64
+            m = (u < cut).astype(b1.dtype)
+            m *= flip
+            m ^= b1
+            return m.view(ftype)
         idx = np.searchsorted(self._cum, u, side="right")
         return self._vals[np.minimum(idx, len(self.values) - 1)].astype(dtype, copy=False)
 
@@ -183,8 +221,6 @@ class Discrete(Distribution):
     def lattice(self):  # type: ignore[override]
         """``(origin, step, offsets, masses)`` with atom i at origin + step *
         offsets[i] within 1e-9 step; None if no offsets up to LATTICE_SPAN fit."""
-        if not np.all(np.isfinite(self._vals)):
-            return None
         origin = float(self._vals.min())
         gaps = self._vals - origin
         spacing = np.diff(np.unique(gaps))
@@ -228,8 +264,8 @@ class Discrete(Distribution):
             return "rademacher"
         if self.name == "bernoulli":
             p = float(self._probs[1])
-            return f"bernoulli:p={p:g},v0={self.values[0]:g},v1={self.values[1]:g}"
-        inner = ";".join(f"{v:g}@{p:g}" for v, p in zip(self.values, self.probs))
+            return f"bernoulli:p={_num(p)},v0={_num(self.values[0])},v1={_num(self.values[1])}"
+        inner = ";".join(f"{_num(v)}@{_num(p)}" for v, p in zip(self.values, self.probs))
         return f"discrete:{inner}"
 
 
@@ -252,8 +288,8 @@ class UniformSymmetric(Distribution):
     symmetric = True
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise DomainError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise DomainError(f"half_width must be positive and finite, got {self.half_width!r}")
 
     def mean(self):
         return 0.0
@@ -284,7 +320,7 @@ class UniformSymmetric(Distribution):
         return (w * w - tc * tc) / (2.0 * w)
 
     def spec_string(self):
-        return f"uniform:w={self.half_width:g}"
+        return f"uniform:w={_num(self.half_width)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -297,8 +333,10 @@ class TwoSidedPareto(Distribution):
     symmetric = True
 
     def __post_init__(self):
-        if self.beta <= 0 or self.scale <= 0:
-            raise DomainError("pareto needs beta > 0 and scale > 0")
+        if not (0 < self.beta < math.inf and 0 < self.scale < math.inf):
+            raise DomainError(
+                f"pareto needs finite beta > 0 and scale > 0, got {self.beta!r} and {self.scale!r}"
+            )
 
     def mean(self):
         return 0.0
@@ -355,7 +393,7 @@ class TwoSidedPareto(Distribution):
         return np.where(t <= self.scale, full, tail)
 
     def spec_string(self):
-        return f"pareto2:beta={self.beta:g},scale={self.scale:g}"
+        return f"pareto2:beta={_num(self.beta)},scale={_num(self.scale)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -365,8 +403,8 @@ class Gaussian(Distribution):
     symmetric = True
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     def mean(self):
         return 0.0
@@ -397,7 +435,7 @@ class Gaussian(Distribution):
         return s * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (t / s) ** 2)
 
     def spec_string(self):
-        return f"gaussian:sigma={self.sigma:g}"
+        return f"gaussian:sigma={_num(self.sigma)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -409,8 +447,8 @@ class TriangularSymmetric(Distribution):
     symmetric = True
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise DomainError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise DomainError(f"half_width must be positive and finite, got {self.half_width!r}")
 
     def mean(self):
         return 0.0
@@ -450,7 +488,7 @@ class TriangularSymmetric(Distribution):
         return (2.0 / (w * w)) * (w * (w * w - tc * tc) / 2.0 - (w**3 - tc**3) / 3.0)
 
     def spec_string(self):
-        return f"triangular:w={self.half_width:g}"
+        return f"triangular:w={_num(self.half_width)}"
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bklab.distributions import (
     CounterexampleDist,
+    Discrete,
     Gaussian,
     TriangularSymmetric,
     TwoSidedPareto,
@@ -241,3 +242,54 @@ def test_atom_mass_validation():
         bernoulli(1.5)
     with pytest.raises(DomainError):
         TwoSidedPareto(-1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Discrete((math.nan, 1.0), (0.5, 0.5)),
+    lambda: Discrete((-1.0, math.inf), (0.5, 0.5)),
+    lambda: Discrete((-1.0, 1.0), (math.nan, 1.0)),
+    lambda: bernoulli(0.5, (-math.inf, 1.0)),
+    lambda: Gaussian(math.nan),
+    lambda: Gaussian(math.inf),
+    lambda: TwoSidedPareto(math.inf),
+    lambda: TwoSidedPareto(math.nan),
+    lambda: TwoSidedPareto(3.0, math.inf),
+    lambda: TwoSidedPareto(3.0, math.nan),
+    lambda: UniformSymmetric(math.nan),
+    lambda: UniformSymmetric(math.inf),
+    lambda: TriangularSymmetric(math.nan),
+    lambda: TriangularSymmetric(math.inf),
+])
+def test_non_finite_law_parameters_are_refused(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("dist", [
+    rademacher(),
+    bernoulli(1.0 / 3.0, (-0.5, 1.0)),
+    bernoulli(0.1 + 0.2, (-0.0, 1234567.0)),
+    bernoulli(0.75, (-3.0, 1.0)),
+    UniformSymmetric(1.0 / 3.0),
+    TwoSidedPareto(1.0 / 3.0, math.pi),
+    TwoSidedPareto(4.0),
+    Gaussian(math.sqrt(2.0)),
+    Gaussian(1e-300),
+    TriangularSymmetric(2.0 / 3.0),
+], ids=repr)
+def test_spec_string_round_trips(dist):
+    assert parse_dist_spec(dist.spec_string()) == dist
+
+
+def test_symmetrized_spec_string_round_trips():
+    # a Symmetrized law compares by identity; its inner law carries the parameters
+    d = symmetrize(TwoSidedPareto(1.0 / 3.0, math.pi))
+    assert parse_dist_spec(d.spec_string()).inner == d.inner
+
+
+def test_spec_string_keeps_the_short_form_that_reads_back():
+    assert bernoulli(0.75, (-3.0, 1.0)).spec_string() == "bernoulli:p=0.75,v0=-3,v1=1"
+    assert bernoulli(1.0 / 3.0, (-0.5, 1.0)).spec_string() == (
+        "bernoulli:p=0.3333333333333333,v0=-0.5,v1=1"
+    )
+    assert TwoSidedPareto(1.5).spec_string() == "pareto2:beta=1.5,scale=1"

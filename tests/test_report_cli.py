@@ -825,3 +825,17 @@ def test_cli_sizes_beyond_memory_exit_2(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "more memory than is available" in res.output
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("gaussian:sigma=nan", "sigma must be positive and finite"),
+    ("pareto2:beta=inf", "pareto needs finite beta > 0 and scale > 0"),
+    ("uniform:w=nan", "half_width must be positive and finite"),
+    ("triangular:w=inf", "half_width must be positive and finite"),
+    ("bernoulli:p=0.5,v0=nan,v1=1", "atoms must be finite"),
+])
+def test_cli_non_finite_law_parameter_exits_2(spec, message):
+    res = CliRunner().invoke(main, ["last-exit", "--dist", spec, "--g", "power:r=1", "--a", "1",
+                                    "--horizon", "16", "--reps", "10"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
