@@ -2,9 +2,9 @@
 
 ``ref_sample_array`` is each continuous sampler written as one expression
 that allocates a new array per operation, and the two-atom sampler as the
-float64 comparison ``u < p0`` feeding ``np.where``; ``ref_last_exit_samples`` is the
-general last-exit scan, which subtracts ``center * n`` from every running sum
-even at center 0.  The library samplers must give the same bits and leave
+float64 comparison ``u < p0`` feeding ``np.where``; ``ref_last_exit_samples``
+is the general last-exit scan, which subtracts ``center * n`` from every
+running sum even at center 0.  The library samplers must give the same bits and leave
 the generator in the same state, and ``last_exit_samples`` the same values
 and censor flags.
 
