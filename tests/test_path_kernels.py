@@ -4,9 +4,13 @@
 that allocates a new array per operation, and the two-atom sampler as the
 float64 comparison ``u < p0`` feeding ``np.where``; ``ref_last_exit_samples``
 is the general last-exit scan, which subtracts ``center * n`` from every
-running sum even at center 0.  The library samplers must give the same bits and leave
-the generator in the same state, and ``last_exit_samples`` the same values
-and censor flags.
+running sum even at center 0, over whole blocks of paths;
+``ref_deviation_profile`` records the profile from whole step chunks, each
+drawn by one ``sample_array`` call.  The library samplers must give the same
+bits and leave the generator in the same state, the path draw of
+``lastexit`` the bits of one ``sample_array`` call, ``last_exit_samples``
+the same values and censor flags, and ``deviation_profile`` the same
+recorded means.
 
 The stream pins in ``tests/test_streams.py`` all run at a = 0.05, where the
 exclusion bound skips no segment; these cases use a in {0.25, 0.5, 1}, so
@@ -28,7 +32,7 @@ from bklab.distributions import (
     bernoulli,
     rademacher,
 )
-from bklab.lastexit import _SEG_STEPS, PathConfig, last_exit_samples
+from bklab.lastexit import _SEG_STEPS, PathConfig, _f32, deviation_profile, last_exit_samples
 
 LAWS = {
     "gaussian-1": Gaussian(1.0),
@@ -53,6 +57,8 @@ LAWS = {
 }
 DTYPES = {"f32": np.float32, "f64": np.float64}
 SIZES = (1, 7, 4096, 100_003)
+# around the piece size of the path draw, 2^16
+DRAW_SIZES = (1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
 REPS = 4100
 
 
@@ -107,6 +113,36 @@ def ref_last_exit_samples(dist, a, cfg):
                     np.copyto(last, m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
     return values, censored
+
+
+def ref_deviation_profile(dist, n_max, reps, seed, n_small=64):
+    endpoints = []
+    e = n_small
+    while e < n_max:
+        endpoints.append(e)
+        e *= 2
+    endpoints = np.asarray(endpoints + [n_max], dtype=np.int64)
+    small = np.zeros((reps, n_small))
+    epvals = np.zeros((reps, len(endpoints)))
+    n_walk = -(-n_max // rng.CHUNK) * rng.CHUNK
+    draw = lambda gen, n: dist.sample_array(gen, n, np.float32)
+    for start, size, gen in rng.blocks(reps, seed, rng.STREAM_SERIES, 0):
+        running = np.zeros(size)
+        for n0, draws in rng.walk(draw, size, gen, n_walk):
+            steps = min(draws.shape[1], n_max - n0 + 1)
+            draws = draws[:, :steps]
+            if n0 == 1:
+                cums_small = np.cumsum(draws[:, :n_small], axis=1, dtype=np.float64)
+                small[start : start + size] = cums_small / np.arange(1, n_small + 1, dtype=float)
+            pos = 0
+            for k in np.nonzero((endpoints >= n0) & (endpoints < n0 + steps))[0]:
+                j = int(endpoints[k]) - n0 + 1
+                running = running + draws[:, pos:j].sum(axis=1, dtype=np.float64)
+                epvals[start : start + size, k] = running / float(endpoints[k])
+                pos = j
+            if pos < steps:
+                running = running + draws[:, pos:].sum(axis=1, dtype=np.float64)
+    return endpoints, small, epvals
 
 
 def _same_bits(got, want):
@@ -164,3 +200,26 @@ def test_last_exit_samples_matches_reference(law, horizon, center):
         values, censored = ref_last_exit_samples(dist, a, cfg)
         _same_bits(batch.values, values)
         _same_bits(batch.censored, censored)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_path_draw_matches_one_sample_array_call(law):
+    dist = LAWS[law]
+    draw = _f32(dist)
+    gen, ref_gen = rng.substream(6, 1), rng.substream(6, 1)
+    # growing, then shrinking: later draws reuse the buffer of earlier ones
+    for n in DRAW_SIZES + DRAW_SIZES[::-1]:
+        _same_bits(draw(gen, n), dist.sample_array(ref_gen, n, np.float32))
+    _same_bits(gen.random(3, dtype=np.float32), ref_gen.random(3, dtype=np.float32))
+    _same_bits(gen.random(3), ref_gen.random(3))
+
+
+@pytest.mark.parametrize("n_max", [4096, 5000])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_deviation_profile_matches_reference(law, n_max):
+    dist = LAWS[law]
+    prof = deviation_profile(dist, n_max, REPS, 4)
+    endpoints, small, epvals = ref_deviation_profile(dist, n_max, REPS, 4)
+    _same_bits(prof.endpoints, endpoints)
+    _same_bits(prof.small_values, small)
+    _same_bits(prof.endpoint_values, epvals)
