@@ -28,6 +28,7 @@ from .functions import (
     counterexample_sequence,
     doubling_witness_exp,
     parse_function_spec,
+    spec_number,
 )
 from .report import DIVERGENT, FINITE, MOMENT, Verdict
 
@@ -37,13 +38,6 @@ _QUAD_BLOW_UP = 1e6  # total past which a growing segment sum is divergence evid
 _TRUNC_RATIO = 1.001  # truncation_threshold ladder: _TRUNC_FLOOR * ratio^k up to _TRUNC_CAP
 _TRUNC_FLOOR = 1e-6
 _TRUNC_CAP = 1e12
-
-
-def _num(x: float) -> str:
-    """``x`` for a spec string: short ``:g`` form when it reads back as
-    ``x``, else the shortest form that does."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -264,8 +258,11 @@ class Discrete(Distribution):
             return "rademacher"
         if self.name == "bernoulli":
             p = float(self._probs[1])
-            return f"bernoulli:p={_num(p)},v0={_num(self.values[0])},v1={_num(self.values[1])}"
-        inner = ";".join(f"{_num(v)}@{_num(p)}" for v, p in zip(self.values, self.probs))
+            v0, v1 = (spec_number(v) for v in self.values)
+            return f"bernoulli:p={spec_number(p)},v0={v0},v1={v1}"
+        inner = ";".join(
+            f"{spec_number(v)}@{spec_number(p)}" for v, p in zip(self.values, self.probs)
+        )
         return f"discrete:{inner}"
 
 
@@ -320,7 +317,7 @@ class UniformSymmetric(Distribution):
         return (w * w - tc * tc) / (2.0 * w)
 
     def spec_string(self):
-        return f"uniform:w={_num(self.half_width)}"
+        return f"uniform:w={spec_number(self.half_width)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -393,7 +390,7 @@ class TwoSidedPareto(Distribution):
         return np.where(t <= self.scale, full, tail)
 
     def spec_string(self):
-        return f"pareto2:beta={_num(self.beta)},scale={_num(self.scale)}"
+        return f"pareto2:beta={spec_number(self.beta)},scale={spec_number(self.scale)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -435,7 +432,7 @@ class Gaussian(Distribution):
         return s * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (t / s) ** 2)
 
     def spec_string(self):
-        return f"gaussian:sigma={_num(self.sigma)}"
+        return f"gaussian:sigma={spec_number(self.sigma)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -488,7 +485,7 @@ class TriangularSymmetric(Distribution):
         return (2.0 / (w * w)) * (w * (w * w - tc * tc) / 2.0 - (w**3 - tc**3) / 3.0)
 
     def spec_string(self):
-        return f"triangular:w={_num(self.half_width)}"
+        return f"triangular:w={spec_number(self.half_width)}"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -919,12 +916,23 @@ def parse_dist_spec(text: str) -> Distribution:
 
     Examples: ``rademacher``, ``uniform:w=1``, ``pareto2:beta=3``,
     ``gaussian:sigma=1``, ``bernoulli:p=0.9,v0=0,v1=1``,
+    ``discrete:-2@0.25;0@0.5;2@0.25`` (atom@mass, as ``Discrete`` writes it),
     ``counterexample:G=exp,prefix=100000``, ``sym:uniform:w=1``.
     """
     text = text.strip()
     if text.startswith("sym:"):
         return symmetrize(parse_dist_spec(text[4:]))
     head, _, rest = text.partition(":")
+    if head == "discrete":
+        values, probs = [], []
+        for item in rest.split(";"):
+            v, _, p = item.partition("@")
+            try:
+                values.append(float(v))
+                probs.append(float(p))
+            except ValueError:
+                raise DomainError(f"bad discrete atom {item!r}, expected value@mass") from None
+        return Discrete(tuple(values), tuple(probs))
     kwargs: dict[str, str] = {}
     if rest:
         for item in rest.split(","):

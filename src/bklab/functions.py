@@ -32,6 +32,13 @@ _H_REL_TOL = 1e-9  # h_majorant stops summing below this share of the total
 _SEARCH_RATIO = 1.01  # step of the counterexample search grid
 
 
+def spec_number(x: float) -> str:
+    """``x`` for a spec string: short ``:g`` form when it reads back as
+    ``x``, else the shortest form that does."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid on [t_min, t_max] with linear or geometric spacing."""
@@ -111,7 +118,7 @@ class ModerateFunction:
     def spec_string(self) -> str:
         if not self.params:
             return self.name
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ",".join(f"{k}={spec_number(v)}" for k, v in self.params.items())
         return f"{self.name}:{inner}"
 
     def __repr__(self):

@@ -5,8 +5,12 @@ maximal-inequality audit.
 Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
 blocks on their own substreams, consumed in step chunks with running sums
 only.  Results are therefore identical for a fixed seed no matter how many
-workers schedule the blocks, and memory stays bounded by one chunk of one
-block.
+workers schedule the blocks.  A simulation holds one float32 step chunk: its
+blocks share one draw buffer, filled in cache-sized pieces, and the
+last-exit scan works in tiles of ``_TILE`` paths by one segment, so memory
+stays bounded by one chunk of one block plus the tile buffers (about 1 MB),
+the scan's per-segment bound (one float32 segment) and the sampler's
+temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -29,6 +33,8 @@ from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
+_TILE = 512  # paths per tile of the last-exit scan
+_PIECE = 2**16  # draws per sampler call of the path draw
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 
 
@@ -108,8 +114,24 @@ def needs_profile(dist: Distribution, n_max: int, n_small: int = 64) -> bool:
 
 
 def _f32(dist: Distribution):
-    """The float32 sampler of ``dist`` as an ``rng.walk`` draw."""
-    return lambda gen, n: dist.sample_array(gen, n, np.float32)
+    """The float32 sampler of ``dist`` as an ``rng.walk`` draw that fills one
+    buffer, grown on demand and reused by every call, in pieces of
+    ``_PIECE`` draws.  Generator fills are sequential, so the draws and the
+    generator state after a call are those of one ``sample_array(gen, n,
+    np.float32)`` call, while the sampler's temporaries stay cache-sized.
+    A returned array is valid until the next call."""
+    buf = np.empty(0, dtype=np.float32)
+
+    def draw(gen, n):
+        nonlocal buf
+        if buf.size < n:
+            buf = np.empty(n, dtype=np.float32)
+        out = buf[:n]
+        for i in range(0, n, _PIECE):
+            out[i : i + _PIECE] = dist.sample_array(gen, min(_PIECE, n - i), np.float32)
+        return out
+
+    return draw
 
 
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
@@ -138,10 +160,16 @@ def last_exit_samples(
     check_level(a)
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
     values = np.zeros(reps, dtype=np.int64)
+    draw = _f32(dist)
     for start, size, gen in _rng.blocks(reps, cfg.seed, _rng.STREAM_LASTEXIT, stream):
         running = np.zeros(size)
         last = values[start : start + size]
-        for n0, draws in _rng.walk(_f32(dist), size, gen, horizon):
+        # Scan buffers for one tile of paths by one segment; every step of
+        # the scan works row by row, so tiles give the bits of whole blocks.
+        tile = min(size, _TILE)
+        cums_buf = np.empty((tile, _SEG_STEPS))
+        dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
+        for n0, draws in _rng.walk(draw, size, gen, horizon):
             steps = draws.shape[1]
             # Per-segment exclusion: within a segment starting at m0,
             # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that
@@ -156,18 +184,22 @@ def last_exit_samples(
                 if float((np.abs(running) + l1).max()) + abs(x) * m_hi < a * m0:
                     running += seg.sum(axis=1, dtype=np.float64)
                     continue
-                cums = np.cumsum(seg, axis=1, dtype=np.float64)
-                cums += running[:, None]
-                running = cums[:, -1].copy()
+                w = j1 - j0
                 ns = np.arange(m0, m_hi + 1, dtype=float)
-                # running holds a copy, so cums is free to overwrite
-                if x != 0.0:
-                    cums -= x * ns
-                dev = np.abs(cums, out=cums) >= a * ns
-                hit = dev.any(axis=1)
-                if hit.any():
-                    lastpos = (j1 - j0) - 1 - np.argmax(dev[:, ::-1], axis=1)
-                    np.copyto(last, m0 + lastpos, where=hit)
+                shift, bound = x * ns, a * ns
+                for r0 in range(0, size, _TILE):
+                    rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
+                    cums = np.cumsum(seg[rows], axis=1, dtype=np.float64, out=cums_buf[:k, :w])
+                    cums += running[rows, None]
+                    running[rows] = cums[:, -1]
+                    # running holds the carry, so cums is free to overwrite
+                    if x != 0.0:
+                        cums -= shift
+                    dev = np.greater_equal(np.abs(cums, out=cums), bound, out=dev_buf[:k, :w])
+                    hit = dev.any(axis=1)
+                    if hit.any():
+                        lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
+                        np.copyto(last[rows], m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
     return LastExitBatch(values, censored)
 
@@ -241,9 +273,10 @@ def tail_prob_mean(
     if dist.lattice is not None and n <= 20:
         return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
     count = 0
+    draw = _f32(dist)
     for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
         total = np.zeros(size)
-        for _n0, draws in _rng.walk(_f32(dist), size, gen, n):
+        for _n0, draws in _rng.walk(draw, size, gen, n):
             total += draws.sum(axis=1, dtype=np.float64)
         count += int(np.count_nonzero(np.abs(total) / n >= a))
     p = count / reps
@@ -305,14 +338,16 @@ def deviation_profile(
     # n_max: the per-path layout, and hence every recorded value, is then a
     # prefix of the same run at a larger n_max.
     n_walk = -(-n_max // _rng.CHUNK) * _rng.CHUNK
+    draw = _f32(dist)
     for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream):
         running = np.zeros(size)
-        for n0, draws in _rng.walk(_f32(dist), size, gen, n_walk):
+        for n0, draws in _rng.walk(draw, size, gen, n_walk):
             steps = min(draws.shape[1], n_max - n0 + 1)
             draws = draws[:, :steps]
             if n0 == 1:
-                cums_small = np.cumsum(draws[:, :n_small], axis=1, dtype=np.float64)
-                small[start : start + size] = cums_small / np.arange(1, n_small + 1, dtype=float)
+                rows = small[start : start + size]
+                np.cumsum(draws[:, :n_small], axis=1, dtype=np.float64, out=rows)
+                rows /= np.arange(1, n_small + 1, dtype=float)
             # Only checkpoint prefixes are needed; walk segment sums instead
             # of materializing the full cumsum.
             pos = 0
@@ -514,10 +549,11 @@ def levy_maximal_check(
 
     hit_max = 0
     hit_end = 0
+    draw = _f32(dist)
     for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_LEVY):
         running = np.zeros(size)
         runmax = np.zeros(size)
-        for _n0, draws in _rng.walk(_f32(dist), size, gen, m):
+        for _n0, draws in _rng.walk(draw, size, gen, m):
             cums = np.cumsum(draws, axis=1, dtype=np.float64)
             cums += running[:, None]
             runmax = np.maximum(runmax, np.abs(cums).max(axis=1))

@@ -77,7 +77,8 @@ def blocks(reps: int, seed: int, *key: int):
 def walk(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int = CHUNK):
     """``(n0, x)`` for consecutive step chunks of ``size`` paths: ``x[:, j]``
     is step ``n0 + j`` (steps count from 1), drawn as
-    ``draw(gen, size * steps).reshape(size, steps)``."""
+    ``draw(gen, size * steps).reshape(size, steps)``.  A chunk may be a view
+    of a buffer that ``draw`` reuses, valid until the next chunk is drawn."""
     for n0 in range(1, n_steps + 1, chunk):
         steps = min(chunk, n_steps - n0 + 1)
         yield n0, draw(gen, size * steps).reshape(size, steps)

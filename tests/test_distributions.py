@@ -281,6 +281,13 @@ def test_spec_string_round_trips(dist):
     assert parse_dist_spec(dist.spec_string()) == dist
 
 
+@pytest.mark.parametrize("spec", ["sym:bernoulli:p=0.75,v0=-3,v1=1", "sym:rademacher"])
+def test_symmetrized_lattice_spec_string_round_trips(spec):
+    d = parse_dist_spec(spec)
+    assert d.spec_string().startswith("discrete:")
+    assert parse_dist_spec(d.spec_string()) == d
+
+
 def test_symmetrized_spec_string_round_trips():
     # a Symmetrized law compares by identity; its inner law carries the parameters
     d = symmetrize(TwoSidedPareto(1.0 / 3.0, math.pi))

@@ -214,3 +214,16 @@ def test_grid_spec_validation():
 def test_grid_spec_refuses_non_finite_bound(t_min, t_max, bound):
     with pytest.raises(DomainError, match=f"{bound} must be finite"):
         GridSpec(t_min, t_max, spacing="linear")
+
+
+@pytest.mark.parametrize("spec", [
+    "exp:b=0.3333333333333333",
+    "power:r=0.30000000000000004",
+    "powlog:r=1.4142135623730951,s=0.1",
+    "power:r=1",  # short forms stay short
+    "exp:b=1",
+])
+def test_function_spec_string_reads_back(spec):
+    g = parse_function_spec(spec)
+    assert parse_function_spec(g.spec_string()).params == g.params
+    assert g.spec_string() == spec

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +246,25 @@ def test_center_must_be_finite(x):
         PathConfig(64, 10, center=x)
     with pytest.raises(DomainError, match="center must be finite"):
         last_exit_time([0.5, 0.2], 0.1, x)
+
+
+def _peak_bytes(fn) -> int:
+    """The peak of traced memory while ``fn`` runs; numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dist", [Gaussian(1.0), TwoSidedPareto(1.5)], ids=["gaussian", "pareto2"])
+def test_simulations_hold_one_step_chunk(dist):
+    # One chunk is 4096 paths by 2048 float32 steps for last-exit, 2000 by
+    # 2048 for the profile; a simulation may add little beyond it.
+    cfg = PathConfig(2048, 4096, 1)
+    peak = _peak_bytes(lambda: last_exit_samples(dist, 0.25, cfg))
+    assert peak < 1.25 * 4096 * 2048 * 4
+    peak = _peak_bytes(lambda: deviation_profile(dist, 4096, 2000, 1))
+    assert peak < 1.25 * 2000 * 2048 * 4

@@ -839,3 +839,15 @@ def test_cli_non_finite_law_parameter_exits_2(spec, message):
                                     "--horizon", "16", "--reps", "10"])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("discrete:", "bad discrete atom ''"),
+    ("discrete:1@", "bad discrete atom '1@'"),
+    ("discrete:-1@0.5;1@0.4", "atom masses must be nonnegative and sum to 1"),
+])
+def test_cli_malformed_discrete_spec_exits_2(spec, message):
+    res = CliRunner().invoke(main, ["last-exit", "--dist", spec, "--g", "power:r=1", "--a", "1",
+                                    "--horizon", "16", "--reps", "10"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
