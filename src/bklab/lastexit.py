@@ -7,10 +7,10 @@ blocks on their own substreams, consumed in step chunks with running sums
 only.  Results are therefore identical for a fixed seed no matter how many
 workers schedule the blocks.  A simulation holds one float32 step chunk: its
 blocks share one draw buffer, filled in cache-sized pieces, and the
-last-exit scan works in tiles of ``_TILE`` paths by one segment, so memory
-stays bounded by one chunk of one block plus the tile buffers (about 1 MB),
-the scan's per-segment bound (one float32 segment) and the sampler's
-temporaries for one piece.
+last-exit scan works in tiles of ``_TILE`` paths by one segment.  A call's
+memory therefore stays bounded by one chunk of one block plus the scan's
+tile buffers (about 1 MB), the float32 |X| of the one segment that the
+exclusion bound sums, and the sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
