@@ -32,7 +32,14 @@ from bklab.distributions import (
     bernoulli,
     rademacher,
 )
-from bklab.lastexit import _SEG_STEPS, PathConfig, _f32, deviation_profile, last_exit_samples
+from bklab.lastexit import (
+    _SEG_STEPS,
+    _TILE,
+    PathConfig,
+    _f32,
+    deviation_profile,
+    last_exit_samples,
+)
 
 LAWS = {
     "gaussian-1": Gaussian(1.0),
@@ -200,6 +207,28 @@ def test_last_exit_samples_matches_reference(law, horizon, center):
         values, censored = ref_last_exit_samples(dist, a, cfg)
         _same_bits(batch.values, values)
         _same_bits(batch.censored, censored)
+
+
+@pytest.mark.parametrize("size", [4096, 700, 4])
+@pytest.mark.parametrize(
+    "law", ["gaussian-1", "uniform-3", "pareto2-1.5", "pareto2-1", "triangular", "bernoulli-tiny"]
+)
+def test_segment_l1_in_row_tiles_matches_whole_block(law, size):
+    # The exclusion bound's per-path sum of |X| over a segment, summed in
+    # row tiles of one reused float32 buffer, must give the bits of the sum
+    # over the whole block: full segments, and the short last segment of a
+    # 2500-step horizon (2048 + 256 + 196).
+    draws = _f32(LAWS[law])(rng.substream(8, size), size * 2500).reshape(size, 2500)
+    abs_buf = np.empty((min(size, _TILE), _SEG_STEPS), dtype=np.float32)
+    l1 = np.empty(size)
+    for chunk in (draws[:, :2048], draws[:, 2048:]):
+        for j0 in range(0, chunk.shape[1], _SEG_STEPS):
+            seg = chunk[:, j0 : j0 + _SEG_STEPS]
+            w = seg.shape[1]
+            for r0 in range(0, size, _TILE):
+                rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
+                np.abs(seg[rows], out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1[rows])
+            _same_bits(l1, np.abs(seg).sum(axis=1, dtype=np.float64))
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))

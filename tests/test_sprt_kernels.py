@@ -3,9 +3,11 @@
 ``ref_sample_indices`` picks a symbol with ``np.searchsorted`` on the
 cumulative masses, clipped at the last symbol, and ``ref_rejection_rate``
 adds each chunk's carry to the whole cumulated chunk before taking its
-maximum.  The library kernels must give the same bits: the same symbol for
-every draw, the same generator state after a call, and the same rejection
-rate and standard error.
+maximum.  ``ref_peaks`` walks each 1024-step chunk of a block as one draw
+of every path.  The library kernels must give the same bits: the same
+symbol for every draw, the same generator state after a call, the same
+per-path peaks with each block's generator left in the same state, and the
+same rejection rate and standard error.
 
 ``ref_run_test`` advances the log ratios one observation at a time and checks
 the stopping rule after every step; ``ref_simulate_runs`` runs the same rule
@@ -26,6 +28,7 @@ from bklab.errors import DataError
 from bklab.sprt import (
     DecisionRecord,
     HypothesisSet,
+    _peaks,
     as_levels,
     rejection_rate,
     run_test,
@@ -76,6 +79,9 @@ DRAW_COUNTS = (1, 3, 7, 1001, 4097, 100_003)  # none a multiple of Philox's 4-wo
 HORIZONS = (1, 1023, 1025, 2048, 3073)  # 3073: the carry crosses two chunk ends
 LEVELS = (1.5, 10.0, 1000.0)
 REPS = 701
+PEAK_REPS = (1, 63, 701, 4100, 9000)
+# 1000: 2^16 draws are no whole number of chunk rows
+PEAK_HORIZONS = (1, 63, 1000, 1023, 1024, 1025, 2048, 3073)
 
 
 def ref_sample_indices(hyp, gen, i, n):
@@ -99,6 +105,24 @@ def ref_rejection_rate(hyp, c_i, i, reps, horizon, seed=0):
         crossed_total += int(np.count_nonzero(crossed))
     p = crossed_total / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
+
+
+def ref_peaks(hyp, i, reps, horizon, seed):
+    """Each path's peak of log R^i and the generator of each block, every
+    1024-step chunk of a block drawn whole."""
+    inc_i = hyp._increments[i]
+    draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
+    peaks = np.full(reps, -np.inf)
+    gens = []
+    for start, size, gen in rng.blocks(reps, seed, rng.STREAM_SPRT_REJECT):
+        carry = np.zeros(size)
+        peak = peaks[start : start + size]
+        for _n0, incs in rng.walk(draw, size, gen, horizon, chunk=1024):
+            cums = np.cumsum(incs, axis=1, out=incs)
+            np.maximum(peak, cums.max(axis=1) + carry, out=peak)
+            carry = cums[:, -1] + carry
+        gens.append(gen)
+    return peaks, gens
 
 
 def ref_log_ratio_update(state, y, hyp):
@@ -249,6 +273,35 @@ def test_rejection_rate_call_sequence_matches_reference():
         assert rejection_rate(hyp, c, i, reps, horizon, seed) == ref_rejection_rate(
             hyp, c, i, reps, horizon, seed
         ), (i, c, reps, horizon, seed)
+
+
+def _state(gen):
+    """The generator's state as plain Python values, comparable with ``==``."""
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("horizon", PEAK_HORIZONS)
+@pytest.mark.parametrize("reps", PEAK_REPS)
+@pytest.mark.parametrize("name", ["pair", "triple"])
+def test_peaks_match_whole_chunk_walk(name, reps, horizon, monkeypatch):
+    hyp = SETS[name]
+    blocks = rng.blocks
+    for i in range(hyp.m):
+        want, want_gens = ref_peaks(hyp, i, reps, horizon, 50 + i)
+        gens = []
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "blocks", lambda *a: ((s, n, gens.append(g) or g) for s, n, g in blocks(*a)))
+            hyp._peak_memo.clear()
+            got = _peaks(hyp, i, reps, horizon, 50 + i)
+        assert got.tobytes() == want.tobytes(), (name, i)
+        assert len(gens) == len(want_gens)
+        assert [_state(g) for g in gens] == [_state(g) for g in want_gens], (name, i)
 
 
 def test_rejection_rate_walks_once_per_seed(monkeypatch):
