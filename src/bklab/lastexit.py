@@ -6,11 +6,11 @@ Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
 blocks on their own substreams, consumed in step chunks with running sums
 only.  Results are therefore identical for a fixed seed no matter how many
 workers schedule the blocks.  A simulation holds one float32 step chunk: its
-blocks share one draw buffer, filled in cache-sized pieces, and the
-last-exit scan works in tiles of ``_TILE`` paths by one segment.  A call's
-memory therefore stays bounded by one chunk of one block plus the scan's
-tile buffers (about 1 MB), the float32 |X| of the one segment that the
-exclusion bound sums, and the sampler's temporaries for one piece.
+blocks share one draw buffer, filled in cache-sized pieces of ``rng.PIECE``
+draws, and the last-exit scan, the exclusion bound's sums of |X| included,
+works in tiles of ``_TILE`` paths by one segment.  A call's memory
+therefore stays bounded by one chunk of one block plus the scan's tile
+buffers (about 1.5 MB) and the sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -34,7 +34,6 @@ from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
 _TILE = 512  # paths per tile of the last-exit scan
-_PIECE = 2**16  # draws per sampler call of the path draw
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 
 
@@ -116,7 +115,7 @@ def needs_profile(dist: Distribution, n_max: int, n_small: int = 64) -> bool:
 def _f32(dist: Distribution):
     """The float32 sampler of ``dist`` as an ``rng.walk`` draw that fills one
     buffer, grown on demand and reused by every call, in pieces of
-    ``_PIECE`` draws.  Generator fills are sequential, so the draws and the
+    ``rng.PIECE`` draws.  Generator fills are sequential, so the draws and the
     generator state after a call are those of one ``sample_array(gen, n,
     np.float32)`` call, while the sampler's temporaries stay cache-sized.
     A returned array is valid until the next call."""
@@ -127,8 +126,8 @@ def _f32(dist: Distribution):
         if buf.size < n:
             buf = np.empty(n, dtype=np.float32)
         out = buf[:n]
-        for i in range(0, n, _PIECE):
-            out[i : i + _PIECE] = dist.sample_array(gen, min(_PIECE, n - i), np.float32)
+        for i in range(0, n, _rng.PIECE):
+            out[i : i + _rng.PIECE] = dist.sample_array(gen, min(_rng.PIECE, n - i), np.float32)
         return out
 
     return draw
@@ -167,8 +166,10 @@ def last_exit_samples(
         # Scan buffers for one tile of paths by one segment; every step of
         # the scan works row by row, so tiles give the bits of whole blocks.
         tile = min(size, _TILE)
+        abs_buf = np.empty((tile, _SEG_STEPS), dtype=np.float32)
         cums_buf = np.empty((tile, _SEG_STEPS))
         dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
+        l1 = np.empty(size)
         for n0, draws in _rng.walk(draw, size, gen, horizon):
             steps = draws.shape[1]
             # Per-segment exclusion: within a segment starting at m0,
@@ -180,11 +181,13 @@ def last_exit_samples(
                 seg = draws[:, j0:j1]
                 m0 = n0 + j0
                 m_hi = n0 + j1 - 1
-                l1 = np.abs(seg).sum(axis=1, dtype=np.float64)
+                w = j1 - j0
+                for r0 in range(0, size, _TILE):
+                    rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
+                    np.abs(seg[rows], out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1[rows])
                 if float((np.abs(running) + l1).max()) + abs(x) * m_hi < a * m0:
                     running += seg.sum(axis=1, dtype=np.float64)
                     continue
-                w = j1 - j0
                 ns = np.arange(m0, m_hi + 1, dtype=float)
                 shift, bound = x * ns, a * ns
                 for r0 in range(0, size, _TILE):

@@ -16,6 +16,12 @@ steps)`` reshaped row-major to ``(size, steps)``, so path ``i`` takes the
 ``i``-th run of ``steps`` consecutive draws, and only the last chunk may be
 shorter.  Any change to the layout changes every simulated report for a
 fixed seed.
+
+Generator fills are sequential, so the rows of a chunk may be drawn as
+consecutive tiles of rows, one ``draw`` each, with the same draws and the
+same generator state after the chunk: ``tiles`` does that, and ``walk`` is
+its one-tile case.  ``PIECE`` = 2^16 draws is the size of one sampler call
+that keeps the sampler's temporaries cache-sized.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ _MASK64 = (1 << 64) - 1
 
 BLOCK = 4096
 CHUNK = 2048
+PIECE = 2**16  # draws per sampler call of a walk that draws in pieces
 
 # Purpose tags. Distinct tags keep estimators on independent streams; the
 # bound audits require LHS and RHS estimates never to share a stream.
@@ -74,11 +81,20 @@ def blocks(reps: int, seed: int, *key: int):
     )
 
 
-def walk(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int = CHUNK):
-    """``(n0, x)`` for consecutive step chunks of ``size`` paths: ``x[:, j]``
-    is step ``n0 + j`` (steps count from 1), drawn as
-    ``draw(gen, size * steps).reshape(size, steps)``.  A chunk may be a view
-    of a buffer that ``draw`` reuses, valid until the next chunk is drawn."""
+def tiles(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int, rows: int):
+    """``(n0, r0, x)`` for consecutive step chunks of ``size`` paths, each cut
+    into tiles of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps count
+    from 1) of path ``r0 + r``, drawn as ``draw(gen, k * steps).reshape(k,
+    steps)`` for the tile's ``k`` paths.  A tile may be a view of a buffer
+    that ``draw`` reuses, valid until the next tile is drawn."""
     for n0 in range(1, n_steps + 1, chunk):
         steps = min(chunk, n_steps - n0 + 1)
-        yield n0, draw(gen, size * steps).reshape(size, steps)
+        for r0 in range(0, size, rows):
+            k = min(rows, size - r0)
+            yield n0, r0, draw(gen, k * steps).reshape(k, steps)
+
+
+def walk(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int = CHUNK):
+    """``(n0, x)`` for consecutive step chunks of ``size`` paths, each drawn
+    whole: the one-tile case of ``tiles``."""
+    return ((n0, x) for n0, _r0, x in tiles(draw, size, gen, n_steps, chunk, size))

@@ -19,7 +19,9 @@ Ville's bound P_i[sup_n R^i_n >= c] <= 1/c is a statement about one number
 per path, its peak of log R^i, and the walk that finds it does not depend
 on c.  ``rejection_rate`` keeps the per-path peaks of its latest walk per
 hypothesis index on the ``HypothesisSet``, so a level sweep on one seed
-costs one walk.
+costs one walk.  The walk draws each 1024-step chunk in ``rng.tiles`` of
+about ``rng.PIECE`` draws, with the draws of the whole chunk, so its memory
+is one tile's uniforms, indices and increments, not the chunk's.
 """
 
 from __future__ import annotations
@@ -263,6 +265,17 @@ def _decide(rho):
     return np.where(stopped, tau, -1).astype(np.int64), np.where(stopped, decision, -1)
 
 
+def _check_sizes(reps, horizon) -> None:
+    """Refuse a replicate count or horizon that is a bool or not an integer,
+    and a horizon below 1; ``rng.blocks`` refuses a count below 1."""
+    for name, v in (("replicate count", reps), ("horizon", horizon)):
+        # a bool is an int, but True is no size
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise DomainError(f"the {name} must be an integer, got {v!r}")
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+
+
 def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord:
     """Consume observations until the test stops (reading none after tau) or
     the horizon or the stream ends, which returns a censored record with the
@@ -301,8 +314,7 @@ def simulate_runs(
     draws taken for every column each step so results do not depend on which
     replicates have already stopped."""
     hyp.check_index(true_index)
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    _check_sizes(reps, horizon)
     logc = as_levels(levels, hyp.m).log()
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
     layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0)  # checks reps before np.full
@@ -376,7 +388,13 @@ def estimate_G_moment(
 def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np.ndarray:
     """Each path's sup_{n <= horizon} log R^i_n under P_i, read-only.  The
     latest walk is kept per hypothesis index, so calls that differ only in
-    the level reuse it."""
+    the level reuse it.
+
+    Each 1024-step chunk is drawn in ``rng.tiles`` of about ``rng.PIECE``
+    draws, so the walk holds one tile's uniforms, indices and increments
+    instead of three chunk-sized arrays.  The tiles take the draws of the
+    whole chunk, and every later step works one path at a time, so the
+    peaks have the bits of a whole-chunk walk."""
     key = (reps, horizon, seed)
     held = hyp._peak_memo.get(i)
     if held is not None and held[0] == key:
@@ -385,10 +403,11 @@ def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np
     draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
     layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT)  # checks reps before np.full
     peaks = np.full(reps, -np.inf)
+    tile = max(1, _rng.PIECE // min(1024, horizon))  # paths per draw
     for start, size, gen in layout:
         carry = np.zeros(size)
         peak = peaks[start : start + size]
-        for _n0, incs in _rng.walk(draw, size, gen, horizon, chunk=1024):
+        for _n0, r0, incs in _rng.tiles(draw, size, gen, horizon, 1024, tile):
             # The carry is added after the max, and gives the same bits as
             # adding it to every partial sum first: the increments under P_i
             # are finite and x -> fl(x + carry) is monotone under
@@ -397,8 +416,9 @@ def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np
             # crossing gives the same bits as well: v_k >= t for some k is
             # max_k v_k >= t, and finite increments leave no NaN to tell them apart.
             cums = np.cumsum(incs, axis=1, out=incs)
-            np.maximum(peak, cums.max(axis=1) + carry, out=peak)
-            carry = cums[:, -1] + carry
+            p, c = peak[r0 : r0 + len(cums)], carry[r0 : r0 + len(cums)]
+            np.maximum(p, cums.max(axis=1) + c, out=p)
+            c += cums[:, -1]
     peaks.flags.writeable = False
     hyp._peak_memo[i] = (key, peaks)
     return peaks
@@ -421,8 +441,7 @@ def rejection_rate(
     hyp.check_index(i)
     if not c_i > 1.0:
         raise ConfigurationError("the level must exceed 1")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    _check_sizes(reps, horizon)
     p = int(np.count_nonzero(_peaks(hyp, i, reps, horizon, seed) >= math.log(c_i))) / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
 

@@ -271,6 +271,24 @@ def test_horizon_below_one_is_refused(horizon):
         simulate_runs(BERN_PAIR, (10.0, 10.0), 0, 10, horizon, 0)
 
 
+@pytest.mark.parametrize(
+    "reps,horizon",
+    [(10, True), (True, 16), (10.0, 16), (2.5, 16), (10, 16.0), (10, 2.5), (np.float64(10), 16)],
+)
+def test_sizes_must_be_integers(reps, horizon):
+    with pytest.raises(DomainError, match="must be an integer"):
+        rejection_rate(BERN_PAIR, 10.0, 0, reps, horizon)
+    with pytest.raises(DomainError, match="must be an integer"):
+        simulate_runs(BERN_PAIR, (10.0, 10.0), 0, reps, horizon, 0)
+
+
+def test_sizes_accept_numpy_integers():
+    assert rejection_rate(BERN_PAIR, 10.0, 0, np.int64(10), np.int32(16)) == rejection_rate(
+        BERN_PAIR, 10.0, 0, 10, 16
+    )
+    assert simulate_runs(BERN_PAIR, (10.0, 10.0), 0, np.int64(10), np.int32(16), 0).tau.shape == (10,)
+
+
 def test_optimality_sweep_refuses_no_target_errors():
     with pytest.raises(ConfigurationError, match="at least one target error"):
         optimality_sweep(BERN_PAIR, [], 0, power(1), 10)

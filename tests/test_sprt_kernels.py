@@ -18,6 +18,7 @@ on the same streams and leave the same observations unread, and
 """
 
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -302,6 +303,21 @@ def test_peaks_match_whole_chunk_walk(name, reps, horizon, monkeypatch):
         assert got.tobytes() == want.tobytes(), (name, i)
         assert len(gens) == len(want_gens)
         assert [_state(g) for g in gens] == [_state(g) for g in want_gens], (name, i)
+
+
+@pytest.mark.parametrize("name", ["pair", "triple"])
+def test_ville_walk_holds_one_piece(name):
+    # A whole chunk of the walk is 4096 paths by 1024 float64 steps, 32 MiB;
+    # the walk may hold about one sampler piece of 2^16 draws instead.
+    hyp = SETS[name]
+    hyp._peak_memo.clear()
+    tracemalloc.start()
+    try:
+        _peaks(hyp, 0, 4096, 2048, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_rejection_rate_walks_once_per_seed(monkeypatch):

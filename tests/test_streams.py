@@ -128,6 +128,24 @@ def test_walk_chunks_row_major():
     assert [x.tolist() for _, x in chunks] == [[[0, 1], [2, 3]]] * 2 + [[[0], [1]]]
 
 
+def test_tiles_cut_chunk_rows_in_order():
+    gen = rng.substream(3)
+
+    def draw(gen, n):
+        return gen.random(n)
+
+    tiles = list(rng.tiles(draw, 5, gen, 7, 3, 2))
+    assert [(n0, r0, x.shape) for n0, r0, x in tiles] == [
+        (n0, r0, (min(2, 5 - r0), min(3, 8 - n0))) for n0 in (1, 4, 7) for r0 in (0, 2, 4)
+    ]
+    # the tiles of a chunk hold the draws of the whole chunk, row-major
+    ref = rng.substream(3)
+    for n0, chunk in rng.walk(draw, 5, ref, 7, chunk=3):
+        got = np.concatenate([x for m0, _r0, x in tiles if m0 == n0])
+        assert np.array_equal(got, chunk)
+    assert gen.random() == ref.random()
+
+
 @pytest.mark.parametrize("reps", [0, -5])
 def test_blocks_reject_empty_runs(reps):
     with pytest.raises(DomainError, match="replicate count"):
