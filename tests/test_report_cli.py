@@ -668,6 +668,54 @@ def test_single_pass_matches_reference_on_edge_cases():
         _assert_same_bytes({"csv_header": ["a", "b", "c"], "csv_rows": rows})
 
 
+def _tables():
+    """2-D arrays and row lists for the float-table paths, by id."""
+    nan, inf = float("nan"), float("inf")
+    edge = np.array([[-0.0, 5e-324], [1e300, -1e300], [0.1, -2.5]])
+    big = np.random.default_rng(3).standard_normal((4097, 3)) * 1e3
+    return {
+        "edge": edge,
+        "rows_4097": big,
+        "transposed": big[:40].T,
+        "strided": big[::3, ::2],
+        "one_row": big[:1],
+        "one_column": big[:5, :1],
+        "with_nan": np.where(np.arange(6).reshape(3, 2) == 4, nan, edge),
+        "with_inf": np.array([[1.0, inf], [-inf, 2.0]]),
+        "float32": big[:10].astype(np.float32),
+        "int64": np.arange(-6, 6, dtype=np.int64).reshape(6, 2),
+        "empty_rows": np.zeros((0, 2)),
+        "empty_columns": np.zeros((3, 0)),
+        "list_4097": big[:, :2].tolist(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tables()))
+def test_float_tables_match_reference(name):
+    table = _tables()[name]
+    _assert_same_bytes({"table": table, "after": 1.5, "csv_header": ["a", "b"],
+                        "csv_rows": table})
+    _assert_same_bytes({"nested": [{"table": table}, table]})
+
+
+# sha256 of the JSON and CSV reports of the counterexample law at seed 7
+COUNTEREXAMPLE_PINS = {
+    100_000: ("3148ce494d7b217cc1f468777d1d74139dfbdf45f3a4067bcd684b3cac9684c4",
+              "702daf49a1791994712cb74bc33804363ffa70a126bc2989992f861c025ab029"),
+    2_000: ("90f9526dac1a29732cd38ecfbc6a78abe058200ff77b95fc90fad2ed59c01602",
+            "b33142e4acba65be1709e46e353100a539ed4996eb3bae324849955c9f361363"),
+}
+
+
+@pytest.mark.parametrize("prefix", list(COUNTEREXAMPLE_PINS))
+def test_counterexample_report_digests(prefix):
+    payload, code = run_experiment({"kind": "counterexample", "g": "exp:b=1", "seed": 7,
+                                    "prefix": prefix})
+    assert code == 0
+    got = tuple(hashlib.sha256(emit(payload, fmt)).hexdigest() for fmt in ("json", "csv"))
+    assert got == COUNTEREXAMPLE_PINS[prefix]
+
+
 @pytest.mark.parametrize("kind", [["series"], {"name": "series"}])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_run_config_unhashable_kind_exits_2(tmp_path, kind, fmt):
