@@ -300,7 +300,7 @@ def _exp_counterexample(v):
         "doubled_verdict": doubled.verdict,
         "harmonic_floor": 2.0 * law.c * harmonic,
         "csv_header": ["atom", "mass"],
-        "csv_rows": [[a, m] for a, m in law_rows(law)],
+        "csv_rows": law_rows(law),
     }
     ok = own.verdict.kind == FINITE and doubled.verdict.kind == DIVERGENT
     return payload, 0 if ok else 1

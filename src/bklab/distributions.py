@@ -503,6 +503,16 @@ class CounterexampleLaw:
     def stored_mass(self) -> float:
         return 2.0 * float(np.sum(self.weights))
 
+    @property
+    def atoms(self) -> np.ndarray:
+        """The 2N stored atoms, ascending: -t_N, ..., -t_1, t_1, ..., t_N."""
+        return np.concatenate((-self.ts[::-1], self.ts))
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The mass of each atom of ``atoms``, in the same order."""
+        return np.concatenate((self.weights[::-1], self.weights))
+
 
 def normalize_counterexample(g: ModerateFunction, ts, prefix: int) -> CounterexampleLaw:
     """Choose c so that stored mass plus the tail bound equals 1.
@@ -543,12 +553,11 @@ class CounterexampleDist(Distribution):
 
     @cached_property
     def _atom_values(self) -> np.ndarray:
-        return np.concatenate([-self.law.ts[::-1], self.law.ts])
+        return self.law.atoms
 
     @cached_property
     def _atom_probs(self) -> np.ndarray:
-        w = self.law.weights
-        return np.concatenate([w[::-1], w]) / self.law.stored_mass
+        return self.law.masses / self.law.stored_mass
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -904,11 +913,10 @@ def symmetrization_check(
     return rows
 
 
-def law_rows(law: CounterexampleLaw) -> list[tuple[float, float]]:
-    """(atom, mass) rows of the stored prefix, atoms ascending."""
-    rows = [(-float(t), float(w)) for t, w in zip(law.ts[::-1], law.weights[::-1])]
-    rows += [(float(t), float(w)) for t, w in zip(law.ts, law.weights)]
-    return rows
+def law_rows(law: CounterexampleLaw) -> np.ndarray:
+    """The (2N, 2) float64 array of (atom, mass) rows of the stored prefix,
+    atoms ascending."""
+    return np.column_stack((law.atoms, law.masses))
 
 
 def parse_dist_spec(text: str) -> Distribution:

@@ -1,13 +1,16 @@
 """Deterministic JSON/CSV report emission.
 
 ``render_json`` and ``render_csv`` make a single pass over the payload: they
-walk it once, append string chunks to one list and join it at the end.
-numpy scalars and arrays are converted where the walk meets them (arrays
-through ``tolist``), so the payload is never copied.  A list of rows that all
-have the same width and hold only plain finite floats (the CSV projections,
-series blocks) is rendered with one precomputed ``%.17g`` template; every
-other list is rendered element by element.  The shape of the data picks the
-path; both give the same bytes.
+walk it once, append string chunks to one list, join it at the end and empty
+it before the text is encoded.  numpy scalars and arrays are converted where
+the walk meets them (arrays through ``tolist``), so the payload is never
+copied.  A float table is rendered with one precomputed ``%.17g`` row
+template, ``_BATCH`` rows at a time; every other list is rendered element by
+element.  A float table is a list of rows of one width holding only plain
+finite floats (the CSV projections, series blocks), or a non-empty 2-D
+float64 array of finite values (the counterexample atoms), which renders
+straight from the array in row batches, without ``tolist``.  The shape of the
+data picks the path; every path gives the same bytes.
 
 What the output guarantees, for a given payload:
 
@@ -65,6 +68,7 @@ DOUBLING = _verdicts("bounded-consistent", "unbounded-growth-detected")  # G(2t)
 MODERATION = _verdicts("moderate-consistent", "non-moderate-evidence")
 
 _FLOAT = "%.17g"
+_BATCH = 4096  # rows of a float table formatted per chunk
 
 
 def _plain(x):
@@ -78,18 +82,41 @@ def _plain(x):
     return x
 
 
-def _float_rows(rows) -> tuple | None:
-    """The cells of ``rows`` in row order when it is a non-empty list of rows
-    (lists or tuples) of one width >= 1 holding only plain finite floats;
-    otherwise None."""
+def _is_float_table(rows) -> bool:
+    """Whether ``rows`` (a list, tuple or array) is a float table: a non-empty
+    2-D float64 array of finite values, or a non-empty list of rows (lists or
+    tuples) of one width >= 1 holding only plain finite floats."""
+    if isinstance(rows, np.ndarray):
+        return (rows.ndim == 2 and rows.dtype == np.float64 and rows.size > 0
+                and bool(np.isfinite(rows).all()))
     if not rows or not set(map(type, rows)) <= {list, tuple}:
-        return None
+        return False
     if len(set(map(len, rows))) != 1 or not rows[0]:
-        return None
-    cells = tuple(chain.from_iterable(rows))
-    if set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
-        return None
-    return cells
+        return False
+    return (set(map(type, chain.from_iterable(rows))) == {float}
+            and all(map(math.isfinite, chain.from_iterable(rows))))
+
+
+def _write_table(out: list, rows, row: str, sep: str) -> None:
+    """Append the float table ``rows`` to ``out``, each row filled into the
+    ``row`` template and rows joined by ``sep``, ``_BATCH`` rows at a time."""
+    for i in range(0, len(rows), _BATCH):
+        part = rows[i:i + _BATCH]
+        if isinstance(part, np.ndarray):
+            cells = tuple(np.ravel(part).tolist())
+        else:
+            cells = tuple(chain.from_iterable(part))
+        if i:
+            out.append(sep)
+        out.append(sep.join([row] * len(part)) % cells)
+
+
+def _encode(out: list) -> bytes:
+    """The joined chunks as bytes; ``out`` is emptied before the encoding so
+    that the chunks, the text and the bytes are never all alive at once."""
+    text = "".join(out)
+    out.clear()
+    return text.encode()
 
 
 def _render_scalar(x) -> str:
@@ -126,6 +153,14 @@ def _write(obj, pad: str, out: list) -> None:
             sep = ",\n"
         out.append(f"\n{pad}}}")
         return
+    if isinstance(obj, (list, tuple, np.ndarray)) and _is_float_table(obj):
+        inner = pad + "  "
+        cell = f"{inner}  {_FLOAT}"
+        row = f"{inner}[\n" + ",\n".join([cell] * len(obj[0])) + f"\n{inner}]"
+        out.append("[\n")
+        _write_table(out, obj, row, ",\n")
+        out.append(f"\n{pad}]")
+        return
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if not isinstance(obj, (list, tuple)):
@@ -135,12 +170,6 @@ def _write(obj, pad: str, out: list) -> None:
         out.append("[]")
         return
     inner = pad + "  "
-    cells = _float_rows(obj)
-    if cells is not None:
-        cell = f"{inner}  {_FLOAT}"
-        row = f"{inner}[\n" + ",\n".join([cell] * len(obj[0])) + f"\n{inner}]"
-        out.extend(("[\n", ",\n".join([row] * len(obj)) % cells, f"\n{pad}]"))
-        return
     sep = "[\n"
     for v in obj:
         out.append(sep + inner)
@@ -153,7 +182,7 @@ def render_json(payload: dict) -> bytes:
     out: list[str] = []
     _write(payload, "", out)
     out.append("\n")
-    return "".join(out).encode()
+    return _encode(out)
 
 
 def _csv_cell(x) -> str:
@@ -162,18 +191,21 @@ def _csv_cell(x) -> str:
 
 
 def render_csv(header: list[str], rows) -> bytes:
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-    lines = [",".join(header)]
-    cells = _float_rows(rows)
-    if cells is not None:
-        row = ",".join([_FLOAT] * len(rows[0]))
-        lines.append("\n".join([row] * len(rows)) % cells)
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    out = [",".join(header)]
+    if _is_float_table(rows):
+        out.append("\n")
+        _write_table(out, rows, ",".join([_FLOAT] * len(rows[0])), "\n")
     else:
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         for row in rows:
             if isinstance(row, np.ndarray):
                 row = row.tolist()
-            lines.append(",".join(map(_csv_cell, row)))
-    return ("\n".join(lines) + "\n").encode()
+            out.append("\n" + ",".join(map(_csv_cell, row)))
+    out.append("\n")
+    return _encode(out)
 
 
 def emit(payload: dict, fmt: str = "json", *, stamp: bool = False) -> bytes:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -714,6 +715,26 @@ def test_counterexample_report_digests(prefix):
     assert code == 0
     got = tuple(hashlib.sha256(emit(payload, fmt)).hexdigest() for fmt in ("json", "csv"))
     assert got == COUNTEREXAMPLE_PINS[prefix]
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counterexample_report_memory():
+    # The 200,000-row atom table stays one float64 array (3.2 MB) up to the
+    # report; emission holds its batched chunks and then the text and the bytes.
+    spec = {"kind": "counterexample", "g": "exp:b=1", "seed": 7, "prefix": 100_000}
+    (payload, _), peak = _traced_peak(lambda: run_experiment(spec))
+    assert peak <= 10e6
+    for fmt in ("json", "csv"):
+        data, peak = _traced_peak(lambda: emit(payload, fmt))
+        assert peak <= 2.5 * len(data), fmt
 
 
 @pytest.mark.parametrize("kind", [["series"], {"name": "series"}])
