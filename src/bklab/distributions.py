@@ -503,14 +503,14 @@ class CounterexampleLaw:
     def stored_mass(self) -> float:
         return 2.0 * float(np.sum(self.weights))
 
-    @property
-    def atoms(self) -> np.ndarray:
+    @cached_property
+    def atom_values(self) -> np.ndarray:
         """The 2N stored atoms, ascending: -t_N, ..., -t_1, t_1, ..., t_N."""
         return np.concatenate((-self.ts[::-1], self.ts))
 
-    @property
-    def masses(self) -> np.ndarray:
-        """The mass of each atom of ``atoms``, in the same order."""
+    @cached_property
+    def atom_masses(self) -> np.ndarray:
+        """The mass of each atom of ``atom_values``, in the same order."""
         return np.concatenate((self.weights[::-1], self.weights))
 
 
@@ -552,12 +552,8 @@ class CounterexampleDist(Distribution):
     symmetric = True
 
     @cached_property
-    def _atom_values(self) -> np.ndarray:
-        return self.law.atoms
-
-    @cached_property
     def _atom_probs(self) -> np.ndarray:
-        return self.law.masses / self.law.stored_mass
+        return self.law.atom_masses / self.law.stored_mass
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -576,7 +572,8 @@ class CounterexampleDist(Distribution):
         # below float32 resolution.
         u = gen.random(n)
         idx = np.searchsorted(self._cum, u, side="right")
-        out = self._atom_values[np.minimum(idx, self._atom_values.size - 1)]
+        atoms = self.law.atom_values
+        out = atoms[np.minimum(idx, atoms.size - 1)]
         return out.astype(dtype, copy=False)
 
     def tail_exact(self, t):
@@ -916,7 +913,7 @@ def symmetrization_check(
 def law_rows(law: CounterexampleLaw) -> np.ndarray:
     """The (2N, 2) float64 array of (atom, mass) rows of the stored prefix,
     atoms ascending."""
-    return np.column_stack((law.atoms, law.masses))
+    return np.column_stack((law.atom_values, law.atom_masses))
 
 
 def parse_dist_spec(text: str) -> Distribution:
