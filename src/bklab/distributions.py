@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
-from scipy.integrate import quad
+import numpy.ma  # noqa: F401  np.unique imports it on first call; load it with bklab instead
 
 from . import rng as _rng
 from .errors import (
@@ -30,11 +30,13 @@ from .functions import (
     parse_function_spec,
     spec_number,
 )
+from .quadrature import doubling_edges, geometric_tail, panel_integrals
 from .report import DIVERGENT, FINITE, MOMENT, Verdict
 
 _SEARCH_LIMIT = 1e7  # largest t of the counterexample search grid
 _QUAD_REL_TOL = 1e-9  # a dyadic quadrature segment below this share ends the sum
 _QUAD_BLOW_UP = 1e6  # total past which a growing segment sum is divergence evidence
+_QUAD_TIE = 1e-12  # segments this close, relative, count as equal in the trend tests
 _TRUNC_RATIO = 1.001  # truncation_threshold ladder: _TRUNC_FLOOR * ratio^k up to _TRUNC_CAP
 _TRUNC_FLOOR = 1e-6
 _TRUNC_CAP = 1e12
@@ -80,6 +82,7 @@ class Distribution:
         return None
 
     def abs_pdf(self, x):
+        """Density of |X| at scalar or array x (0 off the support)."""
         return None
 
     def abs_support(self):
@@ -103,6 +106,20 @@ class Distribution:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec_string()}>"
+
+
+def _elementwise(pdf):
+    """Let a density written for a 1-d float array take a scalar or an array
+    of any shape.  A scalar runs through the same array loops, so it gets
+    the same bits as the matching element of an array."""
+
+    @wraps(pdf)
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        out = pdf(self, x.reshape(-1)).reshape(x.shape)
+        return float(out) if x.ndim == 0 else out
+
+    return density
 
 
 # Widest atom offset of a lattice law: a memory guard, so that atoms such as
@@ -298,8 +315,9 @@ class UniformSymmetric(Distribution):
         x *= self.half_width
         return x
 
+    @_elementwise
     def abs_pdf(self, x):
-        return 1.0 / self.half_width if 0 <= x <= self.half_width else 0.0
+        return np.where((x >= 0) & (x <= self.half_width), 1.0 / self.half_width, 0.0)
 
     def abs_support(self):
         return 0.0, self.half_width
@@ -362,10 +380,10 @@ class TwoSidedPareto(Distribution):
             mag *= self.scale
         return np.copysign(mag, v, out=mag)
 
+    @_elementwise
     def abs_pdf(self, x):
-        if x < self.scale:
-            return 0.0
-        return self.beta * self.scale**self.beta * x ** (-self.beta - 1.0)
+        b, s = self.beta, self.scale
+        return np.where(x >= s, b * s**b * np.maximum(x, s) ** (-b - 1.0), 0.0)
 
     def abs_support(self):
         return self.scale, math.inf
@@ -411,11 +429,10 @@ class Gaussian(Distribution):
         x *= self.sigma
         return x
 
+    @_elementwise
     def abs_pdf(self, x):
-        if x < 0:
-            return 0.0
         s = self.sigma
-        return math.sqrt(2.0 / math.pi) / s * math.exp(-0.5 * (x / s) ** 2)
+        return np.where(x >= 0, math.sqrt(2.0 / math.pi) / s * np.exp(-0.5 * (x / s) ** 2), 0.0)
 
     def abs_support(self):
         return 0.0, math.inf
@@ -461,11 +478,10 @@ class TriangularSymmetric(Distribution):
         mag *= self.half_width
         return np.copysign(mag, v, out=mag)
 
+    @_elementwise
     def abs_pdf(self, x):
         w = self.half_width
-        if 0 <= x <= w:
-            return 2.0 * (w - x) / (w * w)
-        return 0.0
+        return np.where((x >= 0) & (x <= w), 2.0 * (w - x) / (w * w), 0.0)
 
     def abs_support(self):
         return 0.0, self.half_width
@@ -664,40 +680,49 @@ def _moment_discrete(dist, g, arg_scale):
     return MomentEstimate(value, MOMENT[FINITE], mode="analytic")
 
 
+def _not_falling(s3, s2, s1) -> bool:
+    """s3 <= s2 <= s1, all positive, up to quadrature rounding: the segments
+    of a logarithmically divergent moment tend to a constant from above."""
+    tie = 1.0 - _QUAD_TIE
+    return s3 > 0 and s2 >= tie * s3 and s1 >= tie * s2
+
+
 def _moment_quadrature(dist, g, arg_scale):
     lo, hi = dist.abs_support()
 
-    def integrand(x):
-        return x * g.eval(arg_scale * x) * dist.abs_pdf(x)
+    def log_integrand(x):
+        with np.errstate(divide="ignore"):
+            return np.log(x) + g.log_eval(arg_scale * x) + np.log(dist.abs_pdf(x))
 
     if math.isfinite(hi):
-        value, err = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=200)
+        (value,), (err,) = panel_integrals(log_integrand, [lo, hi])
         return MomentEstimate(float(value), MOMENT[FINITE], halfwidth=float(err), mode="quadrature")
 
-    edges = [lo, max(2.0 * lo, 1.0)]
+    # The dyadic segments [lo, max(2 lo, 1)], then doubling, all in one call;
+    # the walk below reads them in order, as far as its verdict needs.
+    values, errs = panel_integrals(log_integrand, doubling_edges(lo, max(2.0 * lo, 1.0), 64))
     segs = []
     total = 0.0
     quad_err = 0.0
-    for _ in range(64):
-        a, b = edges[-2], edges[-1]
-        s, e = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
-        segs.append(max(s, 0.0))
-        total += segs[-1]
-        quad_err += abs(e)
-        edges.append(2.0 * b)
+    for s, e in zip(values.tolist(), errs.tolist()):
+        if s == math.inf:  # the segment overflowed: divergence evidence
+            return MomentEstimate(s, MOMENT[DIVERGENT], halfwidth=s, mode="quadrature")
+        segs.append(s)
+        total += s
+        quad_err += e
         if len(segs) >= 3:
             s3, s2, s1 = segs[-3], segs[-2], segs[-1]
             ratio = s1 / s2 if s2 > 0 else 0.0
             if s1 <= max(_QUAD_REL_TOL * total, 1e-300) or (s1 <= 1e-8 * total and ratio <= 0.9):
-                tail = s1 * ratio / (1.0 - ratio) if 0 < ratio < 0.95 else s1
+                tail = geometric_tail(s2, s1)
                 return MomentEstimate(
                     total + tail, MOMENT[FINITE], halfwidth=tail + quad_err, mode="quadrature"
                 )
-            if len(segs) >= 12 and s1 >= s2 >= s3 > 0 and total >= _QUAD_BLOW_UP:
+            if len(segs) >= 12 and _not_falling(s3, s2, s1) and total >= _QUAD_BLOW_UP:
                 break
-    # Here after 64 segments, or on the blow-up break, where s1 >= s2 >= s3 > 0.
-    s3, s2, s1 = segs[-3], segs[-2], segs[-1]
-    kind = DIVERGENT if s1 >= s2 >= s3 > 0 else FINITE
+    # Here after 64 segments, or on the blow-up break, where the last three
+    # segments do not fall.
+    kind = DIVERGENT if _not_falling(*segs[-3:]) else FINITE
     return MomentEstimate(total, MOMENT[kind], halfwidth=total, mode="quadrature")
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConditionViolationError,
@@ -25,6 +24,7 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
+from .quadrature import doubling_edges, geometric_tail, panel_integrals
 from .report import DIVERGENT, DOUBLING, FINITE, MODERATION, Verdict
 
 P_MAX = 12  # largest exponent p that the tail-integrability scans try
@@ -370,12 +370,22 @@ def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
         if hi > 1 << 40:  # decay was validated, this should be unreachable
             raise PreconditionError("h_majorant summation failed to converge")
     # Remainder R = sum_{k >= hi} of a decreasing summand satisfies
-    # I <= R <= I + g(hi) with I the integral from hi to infinity, computed
-    # on a finite interval via x = hi/u (quad is unreliable on far tails).
-    K = float(hi)
-    integral, _ = quad(lambda u: K * float(summand(K / u)) / (u * u), 0.0, 1.0, limit=200)
-    total += integral + 0.5 * g_hi
+    # I <= R <= I + g(hi) with I the integral from hi to infinity.
+    total += tail_integral(g, p, float(hi)) + 0.5 * g_hi
     return float(n) ** p * total
+
+
+def tail_integral(g: ModerateFunction, p: int, k: float) -> float:
+    """Integral of G(x) x^-(p+1) over [k, inf) for k > 0: doubling x-panels
+    [k 2^j, k 2^(j+1)] for j < 128, closed by the geometric tail of the last
+    two.  G must pass the tail condition for p, so the panels decrease."""
+
+    def log_summand(x):
+        return g.log_eval(x) - (p + 1) * np.log(x)
+
+    segs, _ = panel_integrals(log_summand, doubling_edges(k, 2.0 * k, 128))
+    segs = segs.tolist()
+    return math.fsum(segs) + geometric_tail(segs[-2], segs[-1], max_ratio=1.0)
 
 
 def h_scaling_constant(g: ModerateFunction, p: int, grid: GridSpec) -> float:

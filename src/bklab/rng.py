@@ -27,6 +27,7 @@ that keeps the sampler's temporaries cache-sized.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import DomainError
 
@@ -52,16 +53,16 @@ STREAM_SYM_TRANSFER = 11
 STREAM_CELL = 12
 
 
-def _seq(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
+def _seq(seed: int, key: tuple[int, ...]) -> SeedSequence:
+    return SeedSequence(
         entropy=int(seed) & _MASK64,
         spawn_key=tuple(int(k) & _MASK64 for k in key),
     )
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> Generator:
     """Generator for the (seed, key) work unit, independent of scheduling."""
-    return np.random.Generator(np.random.Philox(_seq(seed, key)))
+    return Generator(Philox(_seq(seed, key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -81,7 +82,7 @@ def blocks(reps: int, seed: int, *key: int):
     )
 
 
-def tiles(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int, rows: int):
+def tiles(draw, size: int, gen: Generator, n_steps: int, chunk: int, rows: int):
     """``(n0, r0, x)`` for consecutive step chunks of ``size`` paths, each cut
     into tiles of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps count
     from 1) of path ``r0 + r``, drawn as ``draw(gen, k * steps).reshape(k,
@@ -94,7 +95,7 @@ def tiles(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int, r
             yield n0, r0, draw(gen, k * steps).reshape(k, steps)
 
 
-def walk(draw, size: int, gen: np.random.Generator, n_steps: int, chunk: int = CHUNK):
+def walk(draw, size: int, gen: Generator, n_steps: int, chunk: int = CHUNK):
     """``(n0, x)`` for consecutive step chunks of ``size`` paths, each drawn
     whole: the one-tile case of ``tiles``."""
     return ((n0, x) for n0, _r0, x in tiles(draw, size, gen, n_steps, chunk, size))
