@@ -136,16 +136,6 @@ def lattice_add(masses: np.ndarray, offsets: np.ndarray, probs: np.ndarray) -> n
     return out
 
 
-def lattice_sums(dist: Distribution, n: int):
-    """Yield ``(values, masses)`` of S_1, ..., S_n for a lattice law.  The
-    caller may zero ``masses`` in place to drop those paths from later steps."""
-    origin, step, offsets, probs = dist.lattice
-    masses = np.ones(1)
-    for i in range(1, n + 1):
-        masses = lattice_add(masses, offsets, probs)
-        yield i * origin + step * np.arange(len(masses)), masses
-
-
 @dataclass(frozen=True, repr=False)
 class Discrete(Distribution):
     """Finitely many atoms; covers the Rademacher and Bernoulli kinds."""
@@ -575,11 +565,6 @@ class CounterexampleDist(Distribution):
     def _cum(self) -> np.ndarray:
         return np.cumsum(self._atom_probs)
 
-    @property
-    def conditioning_mass(self) -> float:
-        """Probability mass of the stored prefix that sampling conditions on."""
-        return self.law.stored_mass
-
     def mean(self):
         return 0.0
 
@@ -749,8 +734,7 @@ def _moment_counterexample(dist, g, arg_scale):
     d0 = float(cum[n_use // 2 - 1]) - float(cum[n_use // 4 - 1]) if n_use >= 8 else d1
     if d1 >= 0.8 * d0 and d1 > 1e-15 * max(total, 1.0):
         return MomentEstimate(total, MOMENT[DIVERGENT], mode="partial_sum")
-    ratio = d1 / d0 if d0 > 0 else 0.0
-    tail = d1 * ratio / (1.0 - ratio) if 0 < ratio < 0.95 else d1
+    tail = geometric_tail(d0, d1)
     return MomentEstimate(total + tail, MOMENT[FINITE], halfwidth=tail, mode="partial_sum")
 
 

@@ -344,6 +344,12 @@ def check_tail_condition(g: ModerateFunction, p: int) -> None:
     )
 
 
+def _log_summand(g: ModerateFunction, p: int, x):
+    """log(G(x) x^-(p+1)), the log of the tail-sum summand: G(x) and x^(p+1)
+    can separately overflow long before their ratio does."""
+    return g.log_eval(x) - (p + 1) * np.log(np.asarray(x, dtype=float))
+
+
 def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
     """n^p * sum_{k>=n} G(k) k^-(p+1) by direct summation plus an integral
     bracket on the remainder of the (decreasing) summand."""
@@ -352,18 +358,13 @@ def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
     n = int(n)
     check_tail_condition(g, p)
 
-    def summand(x):
-        # log-safe: G(x) and x^(p+1) can separately overflow long before
-        # their ratio does.
-        return np.exp(g.log_eval(x) - (p + 1) * np.log(np.asarray(x, dtype=float)))
-
     total = 0.0
     lo = n
     hi = max(2 * n, n + 1024)
     while True:
         ks = np.arange(lo, hi, dtype=float)
-        total += float(np.sum(summand(ks)))
-        g_hi = float(summand(float(hi)))
+        total += float(np.sum(np.exp(_log_summand(g, p, ks))))
+        g_hi = float(np.exp(_log_summand(g, p, float(hi))))
         if g_hi <= 2.0 * _H_REL_TOL * total and hi >= 4 * n:
             break
         lo, hi = hi, 2 * hi
@@ -379,11 +380,7 @@ def tail_integral(g: ModerateFunction, p: int, k: float) -> float:
     """Integral of G(x) x^-(p+1) over [k, inf) for k > 0: doubling x-panels
     [k 2^j, k 2^(j+1)] for j < 128, closed by the geometric tail of the last
     two.  G must pass the tail condition for p, so the panels decrease."""
-
-    def log_summand(x):
-        return g.log_eval(x) - (p + 1) * np.log(x)
-
-    segs, _ = panel_integrals(log_summand, doubling_edges(k, 2.0 * k, 128))
+    segs, _ = panel_integrals(lambda x: _log_summand(g, p, x), doubling_edges(k, 2.0 * k, 128))
     segs = segs.tolist()
     return math.fsum(segs) + geometric_tail(segs[-2], segs[-1], max_ratio=1.0)
 

@@ -1,6 +1,7 @@
 """Cesaro-mean path simulation: last-exit times, G-moments of the last-exit
 time, the deviation series sum n^-1 G(n) P[|S_n/n| >= a], and the Levy
-maximal-inequality audit.
+maximal-inequality audit, by Monte Carlo.  For lattice laws the series head,
+and walks of up to ``exact.MAX_STEPS`` steps, are enumerated in ``exact``.
 
 Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
 blocks on their own substreams, consumed in step chunks with running sums
@@ -21,14 +22,14 @@ censored, and estimates refuse a clean verdict when the censor rate exceeds
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .distributions import Distribution, lattice_sums
+from .distributions import Distribution
 from .errors import DataError, DomainError, PreconditionError
+from .exact import MAX_STEPS, check_threshold, dev_probs, exact_dev_prob, levy_sides
 from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
 
@@ -235,58 +236,6 @@ def estimate_EG_lastexit(
 
 
 # ---------------------------------------------------------------------------
-# Exact small-n deviation probabilities for lattice laws
-# ---------------------------------------------------------------------------
-
-
-def _beyond(dist: Distribution, values: np.ndarray, level: float) -> np.ndarray:
-    """Lattice positions with |s| >= level; one within 1e-9 lattice steps
-    below the level counts as on it."""
-    return np.abs(values) >= level - 1e-9 * dist.lattice[1]
-
-
-def exact_dev_prob(dist: Distribution, n: int, a: float) -> float:
-    """P[|S_n/n| >= a] by exact enumeration (finite-support lattice laws)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if dist.lattice is None:
-        raise PreconditionError("exact enumeration needs a finite-support lattice law")
-    values, masses = deque(lattice_sums(dist, n), maxlen=1).pop()
-    return math.fsum(masses[_beyond(dist, values, a * n)])
-
-
-@dataclass(frozen=True)
-class TailProbEstimate:
-    p_hat: float
-    se: float
-    exact: bool
-
-
-def tail_prob_mean(
-    dist: Distribution, n: int, a: float, reps: int = 100_000, seed: int = 0
-) -> TailProbEstimate:
-    """P[|S_n/n| >= a]; exact enumeration for lattice laws with n <= 20,
-    Monte Carlo otherwise."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not 0 <= a < math.inf:
-        raise DomainError(f"a must be finite and nonnegative, got {a!r}")
-    if a == 0:
-        return TailProbEstimate(1.0, 0.0, True)
-    if dist.lattice is not None and n <= 20:
-        return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
-    count = 0
-    draw = _f32(dist)
-    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
-        total = np.zeros(size)
-        for _n0, draws in _rng.walk(draw, size, gen, n):
-            total += draws.sum(axis=1, dtype=np.float64)
-        count += int(np.count_nonzero(np.abs(total) / n >= a))
-    p = count / reps
-    return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
-
-
-# ---------------------------------------------------------------------------
 # Deviation series S(X, G, a)
 # ---------------------------------------------------------------------------
 
@@ -447,15 +396,16 @@ def estimate_series(
     w_small = g.eval(head_n) / head_n
 
     head_exact = dist.lattice is not None
-    if profile is None and needs_profile(dist, n_max, n_small):
+    if profile is not None:
+        made = (profile.dist_spec, profile.n_small, profile.n_max)
+        want = (dist.spec_string(), n_small, n_max)
+        if made != want:
+            raise DomainError(f"a profile of (law, n_small, n_max) = {made} cannot serve {want}")
+    elif needs_profile(dist, n_max, n_small):
         profile = deviation_profile(dist, n_max, reps_per_block, seed, n_small=n_small)
     per_path_small = None
     if head_exact:
-        probs = [
-            math.fsum(masses[_beyond(dist, values, a * n)])
-            for n, (values, masses) in enumerate(lattice_sums(dist, n_small), start=1)
-        ]
-        head_terms = [w * p for w, p in zip(w_small, probs)]
+        head_terms = [w * p for w, p in zip(w_small, dev_probs(dist, n_small, a))]
         head = math.fsum(head_terms)
         head_se = 0.0
     else:
@@ -468,8 +418,6 @@ def estimate_series(
     blocks: list[SeriesBlock] = []
     per_path_dyadic = None
     if n_max > n_small:
-        if profile.n_max != n_max:
-            raise DomainError("profile horizon does not match n_max")
         eps = profile.endpoints
         ind_ep = np.abs(profile.endpoint_values) >= a
         reps = profile.reps
@@ -513,8 +461,38 @@ def estimate_series(
 
 
 # ---------------------------------------------------------------------------
-# Levy maximal inequality
+# Fixed-n tail audits: P[|S_n/n| >= a] and the Levy maximal inequality
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TailProbEstimate:
+    p_hat: float
+    se: float
+    exact: bool
+
+
+def tail_prob_mean(
+    dist: Distribution, n: int, a: float, reps: int = 100_000, seed: int = 0
+) -> TailProbEstimate:
+    """P[|S_n/n| >= a]; for lattice laws with n <= ``exact.MAX_STEPS`` by
+    exact enumeration in ``exact``, Monte Carlo otherwise."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    check_threshold("a", a)
+    if a == 0:
+        return TailProbEstimate(1.0, 0.0, True)
+    if dist.lattice is not None and n <= MAX_STEPS:
+        return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
+    count = 0
+    draw = _f32(dist)
+    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
+        total = np.zeros(size)
+        for _n0, draws in _rng.walk(draw, size, gen, n):
+            total += draws.sum(axis=1, dtype=np.float64)
+        count += int(np.count_nonzero(np.abs(total) / n >= a))
+    p = count / reps
+    return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
 
 
 @dataclass(frozen=True)
@@ -535,20 +513,15 @@ def levy_maximal_check(
     dist: Distribution, m: int, t: float, reps: int = 100_000, seed: int = 0
 ) -> LevyReport:
     """Both sides of P[max_{n<=m} |S_n| >= t] <= 2 P[|S_m| >= t] for a
-    symmetric law; exact enumeration for lattice laws with m <= 20."""
+    symmetric law; for lattice laws with m <= ``exact.MAX_STEPS`` by exact
+    enumeration in ``exact``, Monte Carlo otherwise."""
     if not dist.symmetric:
         raise PreconditionError("the maximal inequality needs a symmetric law")
     if m < 1:
         raise DomainError("m must be >= 1")
-    if dist.lattice is not None and m <= 20:
-        # A path leaves the walk once |S_n| >= t; the mass that left is the lhs.
-        left = []
-        for values, alive in lattice_sums(dist, m):
-            out = _beyond(dist, values, t)
-            left.extend(alive[out])
-            alive[out] = 0.0
-        rhs = 2.0 * exact_dev_prob(dist, m, t / m)
-        return LevyReport(math.fsum(left), rhs, 0.0, 0.0, True)
+    check_threshold("t", t)
+    if dist.lattice is not None and m <= MAX_STEPS:
+        return LevyReport(*levy_sides(dist, m, t), 0.0, 0.0, True)
 
     hit_max = 0
     hit_end = 0
@@ -563,12 +536,7 @@ def levy_maximal_check(
             running = cums[:, -1].copy()
         hit_max += int(np.count_nonzero(runmax >= t))
         hit_end += int(np.count_nonzero(np.abs(running) >= t))
-    p_max = hit_max / reps
-    p_end = hit_end / reps
-    return LevyReport(
-        p_max,
-        2.0 * p_end,
-        math.sqrt(p_max * (1.0 - p_max) / reps),
-        2.0 * math.sqrt(p_end * (1.0 - p_end) / reps),
-        False,
-    )
+    p_max, p_end = hit_max / reps, hit_end / reps
+    se_max = math.sqrt(p_max * (1.0 - p_max) / reps)
+    se_end = math.sqrt(p_end * (1.0 - p_end) / reps)
+    return LevyReport(p_max, 2.0 * p_end, se_max, 2.0 * se_end, False)

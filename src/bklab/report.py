@@ -5,12 +5,10 @@ walk it once, append string chunks to one list, join it at the end and empty
 it before the text is encoded.  numpy scalars and arrays are converted where
 the walk meets them (arrays through ``tolist``), so the payload is never
 copied.  A float table is rendered with one precomputed ``%.17g`` row
-template, ``_BATCH`` rows at a time; every other list is rendered element by
-element.  A float table is a list of rows of one width holding only plain
-finite floats (the CSV projections, series blocks), or a non-empty 2-D
-float64 array of finite values (the counterexample atoms), which renders
-straight from the array in row batches, without ``tolist``.  The shape of the
-data picks the path; every path gives the same bytes.
+template, ``_BATCH`` rows at a time, straight from the array without
+``tolist``; every list is rendered element by element.  A float table is a
+non-empty 2-D float64 array of finite values (the counterexample atoms).
+Both paths give the same bytes.
 
 What the output guarantees, for a given payload:
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import chain
 
 import numpy as np
 
@@ -83,18 +80,9 @@ def _plain(x):
 
 
 def _is_float_table(rows) -> bool:
-    """Whether ``rows`` (a list, tuple or array) is a float table: a non-empty
-    2-D float64 array of finite values, or a non-empty list of rows (lists or
-    tuples) of one width >= 1 holding only plain finite floats."""
-    if isinstance(rows, np.ndarray):
-        return (rows.ndim == 2 and rows.dtype == np.float64 and rows.size > 0
-                and bool(np.isfinite(rows).all()))
-    if not rows or not set(map(type, rows)) <= {list, tuple}:
-        return False
-    if len(set(map(len, rows))) != 1 or not rows[0]:
-        return False
-    return (set(map(type, chain.from_iterable(rows))) == {float}
-            and all(map(math.isfinite, chain.from_iterable(rows))))
+    """Whether ``rows`` is a non-empty 2-D float64 array of finite values."""
+    return (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+            and rows.size > 0 and bool(np.isfinite(rows).all()))
 
 
 def _write_table(out: list, rows, row: str, sep: str) -> None:
@@ -102,13 +90,9 @@ def _write_table(out: list, rows, row: str, sep: str) -> None:
     ``row`` template and rows joined by ``sep``, ``_BATCH`` rows at a time."""
     for i in range(0, len(rows), _BATCH):
         part = rows[i:i + _BATCH]
-        if isinstance(part, np.ndarray):
-            cells = tuple(np.ravel(part).tolist())
-        else:
-            cells = tuple(chain.from_iterable(part))
         if i:
             out.append(sep)
-        out.append(sep.join([row] * len(part)) % cells)
+        out.append(sep.join([row] * len(part)) % tuple(np.ravel(part).tolist()))
 
 
 def _encode(out: list) -> bytes:
@@ -153,7 +137,7 @@ def _write(obj, pad: str, out: list) -> None:
             sep = ",\n"
         out.append(f"\n{pad}}}")
         return
-    if isinstance(obj, (list, tuple, np.ndarray)) and _is_float_table(obj):
+    if _is_float_table(obj):
         inner = pad + "  "
         cell = f"{inner}  {_FLOAT}"
         row = f"{inner}[\n" + ",\n".join([cell] * len(obj[0])) + f"\n{inner}]"
@@ -191,15 +175,11 @@ def _csv_cell(x) -> str:
 
 
 def render_csv(header: list[str], rows) -> bytes:
-    if not isinstance(rows, np.ndarray):
-        rows = list(rows)
     out = [",".join(header)]
     if _is_float_table(rows):
         out.append("\n")
         _write_table(out, rows, ",".join([_FLOAT] * len(rows[0])), "\n")
     else:
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
         for row in rows:
             if isinstance(row, np.ndarray):
                 row = row.tolist()

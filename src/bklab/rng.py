@@ -49,7 +49,6 @@ STREAM_SYMCHECK = 7
 STREAM_SPRT = 8
 STREAM_SPRT_REJECT = 9
 STREAM_TAILPROB = 10
-STREAM_SYM_TRANSFER = 11
 STREAM_CELL = 12
 
 

@@ -240,6 +240,35 @@ def test_levels_must_be_finite_and_positive(a):
             call()
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_levy_levels_must_be_finite_and_nonnegative(t):
+    # Both paths: the exact one (rademacher, m <= 20) and Monte Carlo.
+    for dist in (rademacher(), Gaussian(1.0)):
+        with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+            levy_maximal_check(dist, 5, t, reps=1000)
+
+
+def test_levy_level_zero_is_certain():
+    for dist in (rademacher(), Gaussian(1.0)):
+        rep = levy_maximal_check(dist, 5, 0.0, reps=1000)
+        assert (rep.lhs, rep.rhs) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "law,n_max,n_small",
+    [
+        (UniformSymmetric(1.0), 2**10, 64),  # made for another law
+        (Gaussian(1.0), 2**10, 32),  # for another head size
+        (Gaussian(1.0), 2**9, 64),  # for another horizon
+    ],
+    ids=["law", "n_small", "n_max"],
+)
+def test_series_refuses_profile_made_for_another_call(law, n_max, n_small):
+    prof = deviation_profile(law, n_max, 200, 3, n_small=n_small)
+    with pytest.raises(DomainError, match="cannot serve"):
+        estimate_series(Gaussian(1.0), power(1), 0.5, 2**10, profile=prof)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_center_must_be_finite(x):
     with pytest.raises(DomainError, match="center must be finite"):
