@@ -43,14 +43,14 @@ from .report import FINITE
 
 HOLDS_CAP = 1e6
 
-H_GRID = GridSpec(1.0, 1e4, 25, "geometric")
+H_GRID = GridSpec(1.0, 1e4, 25)
 
 # h_scaling_constant is pure and shared across matrix cells; memo by family.
 _H_SCALE_MEMO: dict = {}
 
 
 def _h_scale(g: ModerateFunction, p: int, grid: GridSpec) -> float:
-    key = (g.spec_string(), p, grid.t_min, grid.t_max, grid.points, grid.spacing)
+    key = (g.spec_string(), p, grid)
     if key not in _H_SCALE_MEMO:
         _H_SCALE_MEMO[key] = h_scaling_constant(g, p, grid)
     return _H_SCALE_MEMO[key]
@@ -267,13 +267,8 @@ def sym_transfer_check(
     seed = cfg.seed
     reports: list[BoundReport] = []
 
-    def _moment(d, tag):
-        if d.atoms() is not None or d.abs_pdf(0.0) is not None:
-            return moment_xg(d, g)
-        return moment_xg(d, g, mode="mc", seed=_rng.derive_seed(seed, tag))
-
-    m_star = _moment(star, 41)
-    m_plain = _moment(dist, 42)
+    m_star = moment_xg(star, g, seed=_rng.derive_seed(seed, 41))
+    m_plain = moment_xg(dist, g, seed=_rng.derive_seed(seed, 42))
     m_doubled = moment_xg(dist, g, arg_scale=2.0) if dist.atoms() is not None else None
     reports.append(
         BoundReport(

@@ -186,7 +186,7 @@ _REPS_PER_BLOCK = _Field("reps_per_block", _int, 10_000, "Paths of the deviation
 
 def _exp_moderate_audit(v):
     """Audit the doubling ratio of a growth function."""
-    grid = GridSpec(v.t_min, v.t_max, v.points, "geometric")
+    grid = GridSpec(v.t_min, v.t_max, v.points)
     rep = doubling_ratio_sup(v.g, grid, v.growth_threshold)
     payload = {
         "schema": SCHEMA_VERSION,

@@ -594,18 +594,17 @@ class CounterexampleDist(Distribution):
         return f"counterexample:G={self.law.g.spec_string()},prefix={self.law.ts.size}"
 
 
-def counterexample_dist(g: ModerateFunction, prefix: int, *, ts=None) -> CounterexampleDist:
+def counterexample_dist(g: ModerateFunction, prefix: int) -> CounterexampleDist:
     """Build the two-sided atom law witnessing the failure of moderation.
 
     For the exp family the witness sequence t_n = log(n+1)/b is available in
     closed form; any other G goes through the geometric grid search, which is
     only practical for modest prefixes.
     """
-    if ts is None:
-        if g.name == "exp":
-            ts = doubling_witness_exp(g.params["b"], prefix)
-        else:
-            ts = counterexample_sequence(g, prefix, _SEARCH_LIMIT)
+    if g.name == "exp":
+        ts = doubling_witness_exp(g.params["b"], prefix)
+    else:
+        ts = counterexample_sequence(g, prefix, _SEARCH_LIMIT)
     return CounterexampleDist(normalize_counterexample(g, ts, prefix))
 
 
@@ -652,8 +651,7 @@ def symmetrize(dist: Distribution) -> Distribution:
 def sample(dist: Distribution, seed: int, n: int) -> np.ndarray:
     """n i.i.d. draws, deterministic for fixed (seed, n); the i-th draw does
     not depend on n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _rng.check_size("n", n)
     gen = _rng.substream(seed, _rng.STREAM_SAMPLE)
     return dist.sample_array(gen, n)
 
@@ -739,8 +737,9 @@ def _moment_counterexample(dist, g, arg_scale):
 
 
 def _moment_mc(dist, g, arg_scale, reps, seed):
+    _rng.check_size("reps", reps)
     gen = _rng.substream(seed, _rng.STREAM_MOMENT)
-    x = np.abs(dist.sample_array(gen, int(reps)))
+    x = np.abs(dist.sample_array(gen, reps))
     vals = x * g.eval(arg_scale * x)
     mean = math.fsum(vals) / len(vals)
     se = float(np.std(vals)) / math.sqrt(len(vals))
@@ -750,38 +749,25 @@ def _moment_mc(dist, g, arg_scale, reps, seed):
 def moment_xg(
     dist: Distribution,
     g: ModerateFunction,
-    mode: str = "auto",
     *,
     arg_scale: float = 1.0,
     reps: int = 200_000,
     seed: int = 0,
 ) -> MomentEstimate:
     """E[|X| G(arg_scale |X|)] with relative error <= 1e-6 when finite, or a
-    divergence-evidence verdict when the dyadic partial sums keep growing."""
-    if mode == "auto":
-        if dist.atoms() is not None:
-            mode = "analytic"
-        elif isinstance(dist, CounterexampleDist):
-            mode = "partial_sum"
-        elif dist.abs_pdf(0.0) is not None:
-            mode = "quadrature"
-        else:
-            mode = "mc"
-    if mode == "analytic":
-        if dist.atoms() is None:
-            raise UnsupportedOperationError(f"({dist.name}, analytic) moment not available")
+    divergence-evidence verdict when the dyadic partial sums keep growing.
+
+    One rule per law, tried in this order: a law with atoms takes the exact
+    sum ("analytic"), a ``CounterexampleDist`` its partial sums
+    ("partial_sum"), a law with a density of |X| quadrature ("quadrature"),
+    and any other law ``reps`` Monte Carlo draws from ``seed`` ("mc")."""
+    if dist.atoms() is not None:
         return _moment_discrete(dist, g, arg_scale)
-    if mode == "quadrature":
-        if dist.abs_pdf(0.0) is None:
-            raise UnsupportedOperationError(f"({dist.name}, quadrature) moment not available")
-        return _moment_quadrature(dist, g, arg_scale)
-    if mode == "partial_sum":
-        if not isinstance(dist, CounterexampleDist):
-            raise UnsupportedOperationError(f"({dist.name}, partial_sum) moment not available")
+    if isinstance(dist, CounterexampleDist):
         return _moment_counterexample(dist, g, arg_scale)
-    if mode == "mc":
-        return _moment_mc(dist, g, arg_scale, reps, seed)
-    raise UnsupportedOperationError(f"unknown moment mode {mode!r}")
+    if dist.abs_support() is not None:
+        return _moment_quadrature(dist, g, arg_scale)
+    return _moment_mc(dist, g, arg_scale, reps, seed)
 
 
 def abs_mean(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> MomentEstimate:
@@ -791,8 +777,9 @@ def abs_mean(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> Momen
         return MomentEstimate(float(exact), MOMENT[FINITE], mode="analytic")
     if isinstance(dist, TwoSidedPareto) and dist.beta <= 1.0:
         return MomentEstimate(math.inf, MOMENT[DIVERGENT], mode="analytic")
+    _rng.check_size("reps", reps)
     gen = _rng.substream(seed, _rng.STREAM_MOMENT, 1)
-    x = np.abs(dist.sample_array(gen, int(reps)))
+    x = np.abs(dist.sample_array(gen, reps))
     return MomentEstimate(
         float(np.mean(x)), MOMENT[FINITE], se=float(np.std(x)) / math.sqrt(len(x)), mode="mc"
     )
@@ -801,13 +788,14 @@ def abs_mean(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> Momen
 def tail(dist: Distribution, t: float, *, reps: int = 200_000, seed: int = 0) -> TailEstimate:
     """P[|X| >= t]; exact for analytic kinds, Monte Carlo with standard error
     otherwise."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not t >= 0:  # NaN passes no comparison
+        raise DomainError(f"t must be nonnegative, got {t!r}")
     exact = dist.tail_exact(t)
     if exact is not None:
         return TailEstimate(exact, 0.0, True)
+    _rng.check_size("reps", reps)
     gen = _rng.substream(seed, _rng.STREAM_TAILPROB)
-    x = dist.sample_array(gen, int(reps))
+    x = dist.sample_array(gen, reps)
     p = float(np.mean(np.abs(x) >= t))
     return TailEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
 
@@ -818,10 +806,9 @@ def median(dist: Distribution, reps: int = 100_001, seed: int = 0) -> float:
     exact = dist.median_exact()
     if exact is not None:
         return exact
-    if reps < 1:
-        raise DomainError("reps must be >= 1 for the empirical median")
+    _rng.check_size("reps", reps)
     gen = _rng.substream(seed, _rng.STREAM_MEDIAN)
-    x = np.sort(dist.sample_array(gen, int(reps)))
+    x = np.sort(dist.sample_array(gen, reps))
     return float(x[(len(x) - 1) // 2])
 
 
@@ -854,13 +841,7 @@ def truncation_threshold(dist: Distribution, alpha: float) -> float:
     raise PrecisionError("no grid point satisfied the truncated-moment inequality")
 
 
-def symmetrization_check(
-    dist: Distribution,
-    ts=None,
-    *,
-    reps: int = 200_000,
-    seed: int = 0,
-) -> list[dict]:
+def symmetrization_check(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> list[dict]:
     """Audit the median-symmetrization sandwich
     P[|Y - mu| >= 2t] <= 2 P[|Y*| >= 2t] <= 4 P[|Y| >= t] on a grid of t.
 
@@ -869,41 +850,29 @@ def symmetrization_check(
     """
     star = symmetrize(dist)
     mu = median(dist, seed=seed)
-    rows = []
-    if dist.atoms() is not None and star.atoms() is not None:
-        vals, probs = dist.atoms()
-        svals, sprobs = star.atoms()
-        if ts is None:
-            base = np.unique(np.abs(np.concatenate([vals, svals])))
-            ts = np.unique(np.concatenate([base / 2.0, base, [0.0]]))
-        for t in np.asarray(ts, dtype=float):
-            p_center = float(probs[np.abs(vals - mu) >= 2.0 * t].sum())
-            p_star = float(sprobs[np.abs(svals) >= 2.0 * t].sum())
-            p_plain = float(probs[np.abs(vals) >= t].sum())
-            rows.append(
-                {
-                    "t": float(t),
-                    "lhs": p_center,
-                    "mid": 2.0 * p_star,
-                    "rhs": 4.0 * p_plain,
-                    "se": 0.0,
-                    "exact": True,
-                    "ok": p_center <= 2.0 * p_star + 1e-12 and 2.0 * p_star <= 4.0 * p_plain + 1e-12,
-                }
-            )
-        return rows
-    if ts is None:
-        scale = abs(median(dist, seed=seed)) + (dist.abs_mean_exact() or 1.0)
-        ts = np.asarray([0.25, 0.5, 1.0, 2.0]) * scale
-    gen_y = _rng.substream(seed, _rng.STREAM_SYMCHECK, 0)
-    gen_s = _rng.substream(seed, _rng.STREAM_SYMCHECK, 1)
-    y = dist.sample_array(gen_y, int(reps))
-    ystar = star.sample_array(gen_s, int(reps))
-    for t in np.asarray(ts, dtype=float):
-        p_center = float(np.mean(np.abs(y - mu) >= 2.0 * t))
-        p_star = float(np.mean(np.abs(ystar) >= 2.0 * t))
-        p_plain = float(np.mean(np.abs(y) >= t))
+    exact = dist.atoms() is not None and star.atoms() is not None
+    if exact:
+        (y, py), (ystar, pstar) = dist.atoms(), star.atoms()
+        base = np.unique(np.abs(np.concatenate([y, ystar])))
+        ts = np.unique(np.concatenate([base / 2.0, base, [0.0]]))
+        se, slack = 0.0, 1e-12
+    else:
+        _rng.check_size("reps", reps)
+        ts = np.asarray([0.25, 0.5, 1.0, 2.0]) * (abs(mu) + (dist.abs_mean_exact() or 1.0))
+        y = dist.sample_array(_rng.substream(seed, _rng.STREAM_SYMCHECK, 0), reps)
+        ystar = star.sample_array(_rng.substream(seed, _rng.STREAM_SYMCHECK, 1), reps)
+        py = pstar = None
         se = math.sqrt(1.0 / reps)  # conservative: binomial se <= 0.5/sqrt(reps) per side
+        slack = 4.0 * se
+
+    def prob(hit, probs):  # the mass of the atoms hit, or the share of draws
+        return float(np.mean(hit)) if probs is None else float(probs[hit].sum())
+
+    rows = []
+    for t in ts:
+        p_center = prob(np.abs(y - mu) >= 2.0 * t, py)
+        p_star = prob(np.abs(ystar) >= 2.0 * t, pstar)
+        p_plain = prob(np.abs(y) >= t, py)
         rows.append(
             {
                 "t": float(t),
@@ -911,9 +880,8 @@ def symmetrization_check(
                 "mid": 2.0 * p_star,
                 "rhs": 4.0 * p_plain,
                 "se": se,
-                "exact": False,
-                "ok": p_center <= 2.0 * p_star + 4.0 * se
-                and 2.0 * p_star <= 4.0 * p_plain + 4.0 * se,
+                "exact": exact,
+                "ok": p_center <= 2.0 * p_star + slack and 2.0 * p_star <= 4.0 * p_plain + slack,
             }
         )
     return rows

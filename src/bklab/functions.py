@@ -30,6 +30,7 @@ from .report import DIVERGENT, DOUBLING, FINITE, MODERATION, Verdict
 P_MAX = 12  # largest exponent p that the tail-integrability scans try
 _H_REL_TOL = 1e-9  # h_majorant stops summing below this share of the total
 _SEARCH_RATIO = 1.01  # step of the counterexample search grid
+_SEARCH_START = 1e-3  # first point of the counterexample search grid
 
 
 def spec_number(x: float) -> str:
@@ -41,12 +42,11 @@ def spec_number(x: float) -> str:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid on [t_min, t_max] with linear or geometric spacing."""
+    """Geometric evaluation grid of ``points`` points on [t_min, t_max]."""
 
     t_min: float
     t_max: float
     points: int = 201
-    spacing: str = "geometric"
 
     def __post_init__(self):
         for name, t in (("t_min", self.t_min), ("t_max", self.t_max)):
@@ -56,16 +56,10 @@ class GridSpec:
             raise DomainError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
         if self.points < 2:
             raise DomainError("a grid needs at least 2 points")
-        if self.spacing not in ("linear", "geometric"):
-            raise DomainError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "geometric" and self.t_min <= 0:
+        if self.t_min <= 0:
             raise DomainError("geometric spacing requires t_min > 0")
-        if self.t_min < 0:
-            raise DomainError("t_min must be nonnegative")
 
     def values(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.t_min, self.t_max, self.points)
         return np.geomspace(self.t_min, self.t_max, self.points)
 
 
@@ -216,7 +210,7 @@ def parse_function_spec(text: str) -> ModerateFunction:
     raise DomainError(f"unknown function family {head!r}")
 
 
-DEFAULT_AUDIT_GRID = GridSpec(1e-2, 1e6, 321, "geometric")
+DEFAULT_AUDIT_GRID = GridSpec(1e-2, 1e6, 321)
 
 
 def audit_function(g: ModerateFunction, grid: GridSpec | None = None) -> dict:
@@ -274,9 +268,6 @@ def doubling_ratio_sup(
         raise DomainError(f"growth_threshold must exceed 1 and be finite, got {growth_threshold!r}")
     grid = grid or DEFAULT_AUDIT_GRID
     ts = grid.values()
-    ts = ts[ts > 0]
-    if ts.size < 2:
-        raise DomainError("doubling audit needs positive grid points")
     lr = g.log_eval(2.0 * ts) - g.log_eval(ts)
     log_max = float(lr.max())
     grid_max = math.exp(log_max) if log_max < 700 else math.inf
@@ -395,13 +386,7 @@ def h_scaling_constant(g: ModerateFunction, p: int, grid: GridSpec) -> float:
     return best
 
 
-def counterexample_sequence(
-    g: ModerateFunction,
-    count: int,
-    search_limit: float,
-    *,
-    t_start: float = 1e-3,
-) -> np.ndarray:
+def counterexample_sequence(g: ModerateFunction, count: int, search_limit: float) -> np.ndarray:
     """Strictly increasing t_1 < ... < t_count with G(2 t_n) >= n G(t_n),
     each t_n minimal on the geometric search grid subject to strict increase.
 
@@ -410,12 +395,12 @@ def counterexample_sequence(
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if search_limit <= t_start:
-        raise DomainError("search_limit must exceed t_start")
-    npts = int(math.ceil(math.log(search_limit / t_start) / math.log(_SEARCH_RATIO))) + 1
+    if search_limit <= _SEARCH_START:
+        raise DomainError(f"search_limit must exceed {_SEARCH_START:g}")
+    npts = int(math.ceil(math.log(search_limit / _SEARCH_START) / math.log(_SEARCH_RATIO))) + 1
     if npts > 50_000_000:
         raise DomainError("search grid too fine for the given limit")
-    ts_grid = t_start * _SEARCH_RATIO ** np.arange(npts)
+    ts_grid = _SEARCH_START * _SEARCH_RATIO ** np.arange(npts)
     ts_grid = ts_grid[ts_grid <= search_limit]
     with np.errstate(over="ignore"):
         lr = g.log_eval(2.0 * ts_grid) - g.log_eval(ts_grid)

@@ -1,7 +1,8 @@
 """Cesaro-mean path simulation: last-exit times, G-moments of the last-exit
 time, the deviation series sum n^-1 G(n) P[|S_n/n| >= a], and the Levy
-maximal-inequality audit, by Monte Carlo.  For lattice laws the series head,
-and walks of up to ``exact.MAX_STEPS`` steps, are enumerated in ``exact``.
+maximal-inequality audit, by Monte Carlo.  The series head is the first
+``HEAD`` = 64 terms; for lattice laws it, and walks of up to
+``exact.MAX_STEPS`` steps, are enumerated in ``exact``.
 
 Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
 blocks on their own substreams, consumed in step chunks with running sums
@@ -36,6 +37,7 @@ from .report import DIVERGENT, FINITE, SERIES, Verdict
 _SEG_STEPS = 256
 _TILE = 512  # paths per tile of the last-exit scan
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
+HEAD = 64  # series terms n <= HEAD are summed one by one, the rest in dyadic blocks
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class PathConfig:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.horizon < 1 or self.replicates < 1:
-            raise DomainError("horizon and replicates must be >= 1")
+        for v in (self.horizon, self.replicates):
+            _rng.check_size("horizon and replicates", v)
         if not math.isfinite(self.center):
             raise DomainError(f"the deviation center must be finite, got {self.center!r}")
 
@@ -101,16 +103,15 @@ def check_centered(dist: Distribution) -> None:
 
 def check_profile(n_max: int, reps: int) -> None:
     """Refuse the sizes of a deviation profile that cannot run."""
-    if n_max < 2:
-        raise DomainError("n_max must be >= 2")
-    _rng.blocks(reps, 0)  # checks reps at the call and draws nothing
+    _rng.check_size("n_max", n_max, 2)
+    _rng.check_size("the replicate count", reps)
 
 
-def needs_profile(dist: Distribution, n_max: int, n_small: int = 64) -> bool:
+def needs_profile(dist: Distribution, n_max: int) -> bool:
     """Whether ``estimate_series`` reads a deviation profile up to ``n_max``:
-    it does unless the law is a finite lattice, whose terms up to ``n_small``
-    are enumerated exactly, and ``n_max <= n_small``."""
-    return n_max > n_small or dist.lattice is None
+    it does unless the law is a finite lattice, whose terms up to ``HEAD``
+    are enumerated exactly, and ``n_max <= HEAD``."""
+    return n_max > HEAD or dist.lattice is None
 
 
 def _f32(dist: Distribution):
@@ -249,18 +250,20 @@ class DeviationProfile:
     """
 
     dist_spec: str
-    n_small: int
     endpoints: np.ndarray
-    small_values: np.ndarray  # (reps, n_small) U_n for n = 1..n_small
+    small_values: np.ndarray  # (reps, min(HEAD, n_max)) U_n for n = 1, 2, ...
     endpoint_values: np.ndarray  # (reps, len(endpoints))
     n_max: int
     reps: int
     seed: int
 
 
-def _series_endpoints(n_small: int, n_max: int) -> np.ndarray:
+def _series_endpoints(n_max: int) -> np.ndarray:
+    """HEAD, 2 HEAD, 4 HEAD, ... below n_max, then n_max; none when n_max <= HEAD."""
+    if n_max <= HEAD:
+        return np.asarray([], dtype=np.int64)
     eps = []
-    e = n_small
+    e = HEAD
     while e < n_max:
         eps.append(e)
         e *= 2
@@ -274,17 +277,14 @@ def deviation_profile(
     reps: int,
     seed: int = 0,
     *,
-    n_small: int = 64,
     stream: int = 0,
 ) -> DeviationProfile:
     """Simulate ``reps`` centered paths up to n_max, recording U_n for
-    n <= n_small and at dyadic checkpoints n_small, 2 n_small, ..., n_max."""
+    n <= HEAD and at dyadic checkpoints HEAD, 2 HEAD, ..., n_max."""
     check_profile(n_max, reps)
-    n_small = min(n_small, n_max)
-    if n_small > _rng.CHUNK:
-        raise DomainError("n_small must fit inside one step chunk")
-    endpoints = _series_endpoints(n_small, n_max) if n_max > n_small else np.asarray([], dtype=np.int64)
-    small = np.zeros((reps, n_small))
+    head = min(HEAD, n_max)
+    endpoints = _series_endpoints(n_max)
+    small = np.zeros((reps, head))
     epvals = np.zeros((reps, len(endpoints)))
     # Walk to n_max rounded up to whole chunks and read only the steps up to
     # n_max: the per-path layout, and hence every recorded value, is then a
@@ -298,8 +298,8 @@ def deviation_profile(
             draws = draws[:, :steps]
             if n0 == 1:
                 rows = small[start : start + size]
-                np.cumsum(draws[:, :n_small], axis=1, dtype=np.float64, out=rows)
-                rows /= np.arange(1, n_small + 1, dtype=float)
+                np.cumsum(draws[:, :head], axis=1, dtype=np.float64, out=rows)
+                rows /= np.arange(1, head + 1, dtype=float)
             # Only checkpoint prefixes are needed; walk segment sums instead
             # of materializing the full cumsum.
             pos = 0
@@ -312,7 +312,6 @@ def deviation_profile(
                 running = running + draws[:, pos:].sum(axis=1, dtype=np.float64)
     return DeviationProfile(
         dist_spec=dist.spec_string(),
-        n_small=n_small,
         endpoints=endpoints,
         small_values=small,
         endpoint_values=epvals,
@@ -334,7 +333,7 @@ class SeriesBlock:
 class SeriesEstimate:
     """Partial sums of the deviation series with per-block error bars.
 
-    ``head`` covers n <= n_small (exact for finite-support laws),
+    ``head`` covers n <= ``HEAD`` (exact for finite-support laws),
     ``blocks`` the dyadic ranges above it.  partial_sum = head + blocks and
     underestimates the full series: the tail beyond n_max is not included.
     """
@@ -378,38 +377,35 @@ def estimate_series(
     reps_per_block: int = 10_000,
     seed: int = 0,
     *,
-    n_small: int = 64,
     profile: DeviationProfile | None = None,
 ) -> SeriesEstimate:
     """Estimate sum_{n>=1} n^-1 G(n) P[|S_n/n| >= a] up to n_max.
 
     The summand is evaluated exactly (enumeration) or per-path for n up to
-    n_small; each dyadic block above is bounded by the block sum of n^-1 G(n)
+    ``HEAD``; each dyadic block above is bounded by the block sum of n^-1 G(n)
     times the average of the measured endpoint probabilities.  The verdict is
     evidence-grade, from the trend of the last block contributions.
     """
     check_level(a)
-    if n_max < 2:
-        raise DomainError("n_max must be >= 2")
-    n_small = min(n_small, n_max)
-    head_n = np.arange(1, n_small + 1, dtype=float)
+    _rng.check_size("n_max", n_max, 2)
+    head_n = np.arange(1, min(HEAD, n_max) + 1, dtype=float)
     w_small = g.eval(head_n) / head_n
 
     head_exact = dist.lattice is not None
     if profile is not None:
-        made = (profile.dist_spec, profile.n_small, profile.n_max)
-        want = (dist.spec_string(), n_small, n_max)
+        made = (profile.dist_spec, profile.n_max)
+        want = (dist.spec_string(), n_max)
         if made != want:
-            raise DomainError(f"a profile of (law, n_small, n_max) = {made} cannot serve {want}")
-    elif needs_profile(dist, n_max, n_small):
-        profile = deviation_profile(dist, n_max, reps_per_block, seed, n_small=n_small)
+            raise DomainError(f"a profile of (law, n_max) = {made} cannot serve {want}")
+    elif needs_profile(dist, n_max):
+        profile = deviation_profile(dist, n_max, reps_per_block, seed)
     per_path_small = None
     if head_exact:
-        head_terms = [w * p for w, p in zip(w_small, dev_probs(dist, n_small, a))]
+        head_terms = [w * p for w, p in zip(w_small, dev_probs(dist, head_n.size, a))]
         head = math.fsum(head_terms)
         head_se = 0.0
     else:
-        ind_small = np.abs(profile.small_values[:, :n_small]) >= a
+        ind_small = np.abs(profile.small_values) >= a
         per_path_small = ind_small @ w_small
         head = float(np.mean(per_path_small))
         head_se = float(np.std(per_path_small)) / math.sqrt(profile.reps)
@@ -417,14 +413,14 @@ def estimate_series(
 
     blocks: list[SeriesBlock] = []
     per_path_dyadic = None
-    if n_max > n_small:
+    if n_max > HEAD:
         eps = profile.endpoints
         ind_ep = np.abs(profile.endpoint_values) >= a
         reps = profile.reps
         per_path_dyadic = np.zeros(reps)
         for k in range(len(eps) - 1):
             lo, hi = int(eps[k]), int(eps[k + 1])
-            # Block k covers (e_k, e_{k+1}]: the head already owns n <= n_small.
+            # Block k covers (e_k, e_{k+1}]: the head already owns n <= HEAD.
             ns = np.arange(lo + 1, hi + 1, dtype=float)
             w_sum = float(np.sum(g.eval(ns) / ns))
             terms = w_sum * 0.5 * (ind_ep[:, k] + ind_ep[:, k + 1])
@@ -477,8 +473,8 @@ def tail_prob_mean(
 ) -> TailProbEstimate:
     """P[|S_n/n| >= a]; for lattice laws with n <= ``exact.MAX_STEPS`` by
     exact enumeration in ``exact``, Monte Carlo otherwise."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _rng.check_size("n", n)
+    _rng.check_size("the replicate count", reps)
     check_threshold("a", a)
     if a == 0:
         return TailProbEstimate(1.0, 0.0, True)
@@ -517,8 +513,8 @@ def levy_maximal_check(
     enumeration in ``exact``, Monte Carlo otherwise."""
     if not dist.symmetric:
         raise PreconditionError("the maximal inequality needs a symmetric law")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _rng.check_size("m", m)
+    _rng.check_size("the replicate count", reps)
     check_threshold("t", t)
     if dist.lattice is not None and m <= MAX_STEPS:
         return LevyReport(*levy_sides(dist, m, t), 0.0, 0.0, True)

@@ -69,12 +69,20 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(_seq(seed, key).generate_state(1, np.uint64)[0])
 
 
+def check_size(what: str, v, minimum: int = 1) -> None:
+    """Refuse a size that is a bool, not an integer, or below ``minimum``."""
+    # a bool is an int, but True is no size
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    if v < minimum:
+        raise DomainError(f"{what} must be >= {minimum}, got {v}")
+
+
 def blocks(reps: int, seed: int, *key: int):
     """``(start, size, gen)`` for each replicate block of a ``reps``-path run;
     block ``b`` covers paths ``start .. start + size - 1`` and draws from
     ``substream(seed, *key, b)``."""
-    if reps < 1:
-        raise DomainError(f"the replicate count must be >= 1, got {reps}")
+    check_size("the replicate count", reps)
     return (
         (start, min(BLOCK, reps - start), substream(seed, *key, b))
         for b, start in enumerate(range(0, reps, BLOCK))

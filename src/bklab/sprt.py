@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigurationError, DataError, DomainError
+from .errors import ConfigurationError, DataError
 from .functions import ModerateFunction
 from .lastexit import CENSOR_BOUND
 
@@ -265,23 +265,11 @@ def _decide(rho):
     return np.where(stopped, tau, -1).astype(np.int64), np.where(stopped, decision, -1)
 
 
-def _check_sizes(reps, horizon) -> None:
-    """Refuse a replicate count or horizon that is a bool or not an integer,
-    and a horizon below 1; ``rng.blocks`` refuses a count below 1."""
-    for name, v in (("replicate count", reps), ("horizon", horizon)):
-        # a bool is an int, but True is no size
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise DomainError(f"the {name} must be an integer, got {v!r}")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-
-
 def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord:
     """Consume observations until the test stops (reading none after tau) or
     the horizon or the stream ends, which returns a censored record with the
     partial rho.  The log ratios are those at the last observation read."""
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    _rng.check_size("horizon", horizon)
     logc = as_levels(levels, hyp.m).log()
     steps = ([hyp.index_of(y)] for y in islice(stream, horizon))
     rho, log_r = _passages(hyp._increments, logc, steps, 1)
@@ -314,13 +302,13 @@ def simulate_runs(
     draws taken for every column each step so results do not depend on which
     replicates have already stopped."""
     hyp.check_index(true_index)
-    _check_sizes(reps, horizon)
+    _rng.check_size("the replicate count", reps)
+    _rng.check_size("horizon", horizon)
     logc = as_levels(levels, hyp.m).log()
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0)  # checks reps before np.full
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
-    for start, size, gen in layout:
+    for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0):
         steps = (ys[:, 0] for _n, ys in _rng.walk(draw, size, gen, horizon, chunk=1))
         rho, _ = _passages(hyp._increments, logc, steps, size)
         tau[start : start + size], decision[start : start + size] = _decide(rho)
@@ -401,10 +389,9 @@ def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np
         return held[1]
     inc_i = hyp._increments[i]
     draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
-    layout = _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT)  # checks reps before np.full
     peaks = np.full(reps, -np.inf)
     tile = max(1, _rng.PIECE // min(1024, horizon))  # paths per draw
-    for start, size, gen in layout:
+    for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT):
         carry = np.zeros(size)
         peak = peaks[start : start + size]
         for _n0, r0, incs in _rng.tiles(draw, size, gen, horizon, 1024, tile):
@@ -441,7 +428,8 @@ def rejection_rate(
     hyp.check_index(i)
     if not c_i > 1.0:
         raise ConfigurationError("the level must exceed 1")
-    _check_sizes(reps, horizon)
+    _rng.check_size("the replicate count", reps)
+    _rng.check_size("horizon", horizon)
     p = int(np.count_nonzero(_peaks(hyp, i, reps, horizon, seed) >= math.log(c_i))) / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
 

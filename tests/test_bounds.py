@@ -20,6 +20,8 @@ from bklab.distributions import (
     Gaussian,
     UniformSymmetric,
     abs_mean,
+    counterexample_dist,
+    moment_xg,
     rademacher,
 )
 from bklab.errors import ConditionViolationError, DomainError, PreconditionError
@@ -166,6 +168,14 @@ def test_sym_transfer_rademacher_enumerated():
     # X* has atoms {-2, 0, 2} with masses 1/4, 1/2, 1/4: E|X*| = 1 <= 4 E|X| = 4
     assert m.lhs == pytest.approx(1.0)
     assert m.rhs == pytest.approx(4.0)
+
+
+def test_sym_transfer_counterexample_moment_is_exact():
+    dist = counterexample_dist(exponential(1.0), 2000)
+    g = power(1)
+    moment = next(r for r in sym_transfer_check(dist, g, PathConfig(256, 400, 3)) if r.name == "sym-moment")
+    assert moment.rhs_se == 0.0
+    assert moment.rhs == 4.0 * g.claimed_doubling * moment_xg(dist, g).value
 
 
 def test_sym_transfer_deviation_sandwich():

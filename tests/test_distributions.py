@@ -7,7 +7,9 @@ from scipy.integrate import quad
 from bklab.distributions import (
     CounterexampleDist,
     Discrete,
+    Distribution,
     Gaussian,
+    Symmetrized,
     TriangularSymmetric,
     TwoSidedPareto,
     UniformSymmetric,
@@ -86,11 +88,52 @@ def test_moment_xg_divergence_detection():
     assert est.verdict == "divergence-evidence"
 
 
-def test_moment_xg_unsupported_pairs():
-    with pytest.raises(UnsupportedOperationError):
-        moment_xg(Gaussian(1.0), power(1), mode="analytic")
-    with pytest.raises(UnsupportedOperationError):
-        moment_xg(rademacher(), power(1), mode="partial_sum")
+@pytest.mark.parametrize(
+    "spec,mode",
+    [
+        ("rademacher", "analytic"),
+        ("bernoulli:p=0.75,v0=-3,v1=1", "analytic"),
+        ("discrete:-2@0.25;0@0.5;2@0.25", "analytic"),
+        ("counterexample:G=exp,prefix=1000", "partial_sum"),
+        ("uniform:w=1", "quadrature"),
+        ("gaussian:sigma=1", "quadrature"),
+        ("triangular:w=2", "quadrature"),
+        ("pareto2:beta=3", "quadrature"),
+        ("sym:pareto2:beta=3", "mc"),
+    ],
+)
+def test_moment_xg_takes_one_route_per_law(spec, mode):
+    assert moment_xg(parse_dist_spec(spec), power(1), reps=1000).mode == mode
+
+
+class _Skewed(Distribution):
+    """Not symmetric and without closed forms: every audit of it samples."""
+
+    def sample_array(self, gen, n, dtype=np.float64):
+        return gen.random(n).astype(dtype)
+
+
+@pytest.mark.parametrize("size", [True, 2.5, np.float64(100)])
+def test_sizes_must_be_integers(size):
+    mc = Symmetrized(Gaussian(1.0))
+    calls = [
+        lambda: sample(mc, 0, size),
+        lambda: moment_xg(mc, power(1), reps=size),
+        lambda: abs_mean(mc, reps=size),
+        lambda: tail(mc, 1.0, reps=size),
+        lambda: median(_Skewed(), reps=size),
+        lambda: symmetrization_check(mc, reps=size),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+
+def test_tail_refuses_nan_level():
+    for d in (rademacher(), Gaussian(1.0), Symmetrized(Gaussian(1.0))):
+        with pytest.raises(DomainError, match="nonnegative"):
+            tail(d, math.nan)
+        assert tail(d, math.inf, reps=1000).value == 0.0
 
 
 def test_tail_values():

@@ -111,7 +111,7 @@ def test_series_head_matches_reference_bitwise(spec, r):
             for n, (w, states) in enumerate(zip(weights, sums), start=1)
         ]
         head = math.fsum(terms)
-        est = estimate_series(dist, g, a, 64, n_small=64)
+        est = estimate_series(dist, g, a, 64)
         assert est.head_exact
         assert est.head == head and est.partial_sum == head, a
         assert est.verdict == _series_verdict([], [], terms, head), a

@@ -175,22 +175,40 @@ def test_series_profile_reuse_matches_direct():
 
 
 @pytest.mark.parametrize(
-    "n_small,n_max,shared",
+    "n_max,shared",
     [
-        (64, 3000, [64, 128, 256, 512, 1024, 2048]),
-        (64, 100, [64]),  # a short run inside one chunk
-        (48, 3500, [48, 96, 192, 384, 768, 1536, 3072]),  # 3072 sits in the partial chunk
+        (3000, [64, 128, 256, 512, 1024, 2048]),
+        (100, [64]),  # a short run inside one chunk
     ],
 )
-def test_deviation_profile_is_prefix_of_longer_run(n_small, n_max, shared):
-    short = deviation_profile(Gaussian(1.0), n_max, 300, 17, n_small=n_small)
-    long = deviation_profile(Gaussian(1.0), 6144, 300, 17, n_small=n_small)
+def test_deviation_profile_is_prefix_of_longer_run(n_max, shared):
+    short = deviation_profile(Gaussian(1.0), n_max, 300, 17)
+    long = deviation_profile(Gaussian(1.0), 6144, 300, 17)
     assert np.array_equal(short.small_values, long.small_values)
 
     def at_shared(prof):
         return prof.endpoint_values[:, [prof.endpoints.tolist().index(n) for n in shared]]
 
     assert np.array_equal(at_shared(short), at_shared(long))
+
+
+@pytest.mark.parametrize("size", [True, 2.5, np.float64(100)])
+def test_sizes_must_be_integers(size):
+    gauss = Gaussian(1.0)
+    calls = [
+        lambda: PathConfig(size, 10),
+        lambda: PathConfig(64, size),
+        lambda: deviation_profile(gauss, size, 100),
+        lambda: deviation_profile(gauss, 100, size),
+        lambda: estimate_series(gauss, power(1), 0.5, size, 100),
+        lambda: tail_prob_mean(gauss, size, 0.5, 100),
+        lambda: tail_prob_mean(rademacher(), 5, 0.5, size),
+        lambda: levy_maximal_check(gauss, size, 0.5, 100),
+        lambda: levy_maximal_check(rademacher(), 5, 0.5, size),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
 
 
 def test_levy_exact_small_cases():
@@ -255,16 +273,15 @@ def test_levy_level_zero_is_certain():
 
 
 @pytest.mark.parametrize(
-    "law,n_max,n_small",
+    "law,n_max",
     [
-        (UniformSymmetric(1.0), 2**10, 64),  # made for another law
-        (Gaussian(1.0), 2**10, 32),  # for another head size
-        (Gaussian(1.0), 2**9, 64),  # for another horizon
+        (UniformSymmetric(1.0), 2**10),  # made for another law
+        (Gaussian(1.0), 2**9),  # for another horizon
     ],
-    ids=["law", "n_small", "n_max"],
+    ids=["law", "n_max"],
 )
-def test_series_refuses_profile_made_for_another_call(law, n_max, n_small):
-    prof = deviation_profile(law, n_max, 200, 3, n_small=n_small)
+def test_series_refuses_profile_made_for_another_call(law, n_max):
+    prof = deviation_profile(law, n_max, 200, 3)
     with pytest.raises(DomainError, match="cannot serve"):
         estimate_series(Gaussian(1.0), power(1), 0.5, 2**10, profile=prof)
 
