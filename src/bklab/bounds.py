@@ -45,16 +45,6 @@ HOLDS_CAP = 1e6
 
 H_GRID = GridSpec(1.0, 1e4, 25)
 
-# h_scaling_constant is pure and shared across matrix cells; memo by family.
-_H_SCALE_MEMO: dict = {}
-
-
-def _h_scale(g: ModerateFunction, p: int, grid: GridSpec) -> float:
-    key = (g.spec_string(), p, grid)
-    if key not in _H_SCALE_MEMO:
-        _H_SCALE_MEMO[key] = h_scaling_constant(g, p, grid)
-    return _H_SCALE_MEMO[key]
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -167,7 +157,7 @@ def prop2_check(
     if p is None:
         p = default_p(g)
     check_tail_condition(g, p)
-    c_h = _h_scale(g, p, H_GRID)
+    c_h = h_scaling_constant(g, p, H_GRID)
     m_xg = moment_xg(dist, g)
     if m_xg.verdict.kind != FINITE:
         raise PreconditionError(f"E[|X| G(|X|)] diverges for {dist.spec_string()}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import Distribution, lattice_add
 from .errors import DomainError, PreconditionError
+from .rng import check_size
 
 MAX_STEPS = 20  # longest walk whose tail or Levy sides lastexit enumerates
 
@@ -26,8 +27,7 @@ def check_threshold(name: str, x: float) -> None:
 
 
 def _check(dist: Distribution, n: int, a: float) -> None:
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_size("n", n)
     if dist.lattice is None:
         raise PreconditionError("exact enumeration needs a finite-support lattice law")
     check_threshold("a", a)

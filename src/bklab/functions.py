@@ -26,9 +26,10 @@ from .errors import (
 )
 from .quadrature import doubling_edges, geometric_tail, panel_integrals
 from .report import DIVERGENT, DOUBLING, FINITE, MODERATION, Verdict
+from .rng import check_size
 
 P_MAX = 12  # largest exponent p that the tail-integrability scans try
-_H_REL_TOL = 1e-9  # h_majorant stops summing below this share of the total
+_H_REL_TOL = 1e-9  # h_majorant's bound on its remainder error, as a share of the sum
 _SEARCH_RATIO = 1.01  # step of the counterexample search grid
 _SEARCH_START = 1e-3  # first point of the counterexample search grid
 
@@ -54,8 +55,7 @@ class GridSpec:
                 raise DomainError(f"{name} must be finite, got {t!r}")
         if not (self.t_min < self.t_max):
             raise DomainError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
-        if self.points < 2:
-            raise DomainError("a grid needs at least 2 points")
+        check_size("points", self.points, 2)
         if self.t_min <= 0:
             raise DomainError("geometric spacing requires t_min > 0")
 
@@ -318,12 +318,11 @@ def _tail_condition_holds(g: ModerateFunction, p: int, start: float = 64.0) -> b
 def check_tail_condition(g: ModerateFunction, p: int) -> None:
     """Raise ConditionViolationError when G(t)/t^(p+1) fails the numeric
     integrability test, reporting the smallest exponent that would pass."""
-    if p < 1 or p != int(p):
-        raise DomainError("p must be a positive integer")
-    if _tail_condition_holds(g, int(p)):
+    check_size("p", p)
+    if _tail_condition_holds(g, p):
         return
     smallest = None
-    for q in range(int(p) + 1, P_MAX + 1):
+    for q in range(p + 1, P_MAX + 1):
         if _tail_condition_holds(g, q):
             smallest = q
             break
@@ -342,11 +341,17 @@ def _log_summand(g: ModerateFunction, p: int, x):
 
 
 def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
-    """n^p * sum_{k>=n} G(k) k^-(p+1) by direct summation plus an integral
-    bracket on the remainder of the (decreasing) summand."""
-    if n < 1 or n != int(n):
-        raise DomainError("n must be a positive integer")
-    n = int(n)
+    """n^p * sum_{k>=n} G(k) k^-(p+1): direct sums over doubling chunks from
+    [n, max(2n, n+1024)), then the Euler-Maclaurin remainder at the chunk end.
+
+    For a summand f convex beyond hi, the remainder R = sum_{k>=hi} f(k) and
+    I = tail_integral(g, p, hi) satisfy 0 <= R - I - f(hi)/2 <= -f'(hi)/8
+    <= (f(hi-1) - f(hi))/8; summing stops once that bound is below
+    _H_REL_TOL of the total and hi >= 4n.  The remainder adds the -f'(hi)/12
+    end correction as a central difference.  The bound assumes f convex
+    beyond hi: power summands are, and powlog ones past x = 1024 for log
+    powers s <= 10."""
+    check_size("n", n)
     check_tail_condition(g, p)
 
     total = 0.0
@@ -355,15 +360,14 @@ def h_majorant(g: ModerateFunction, p: int, n: int) -> float:
     while True:
         ks = np.arange(lo, hi, dtype=float)
         total += float(np.sum(np.exp(_log_summand(g, p, ks))))
-        g_hi = float(np.exp(_log_summand(g, p, float(hi))))
-        if g_hi <= 2.0 * _H_REL_TOL * total and hi >= 4 * n:
+        ends = np.array([hi - 1, hi, hi + 1], dtype=float)
+        f_lo, f_hi, f_up = np.exp(_log_summand(g, p, ends)).tolist()
+        if (f_lo - f_hi) / 8 <= _H_REL_TOL * total and hi >= 4 * n:
             break
         lo, hi = hi, 2 * hi
         if hi > 1 << 40:  # decay was validated, this should be unreachable
             raise PreconditionError("h_majorant summation failed to converge")
-    # Remainder R = sum_{k >= hi} of a decreasing summand satisfies
-    # I <= R <= I + g(hi) with I the integral from hi to infinity.
-    total += tail_integral(g, p, float(hi)) + 0.5 * g_hi
+    total += tail_integral(g, p, float(hi)) + 0.5 * f_hi + (f_lo - f_up) / 24
     return float(n) ** p * total
 
 
@@ -393,8 +397,7 @@ def counterexample_sequence(g: ModerateFunction, count: int, search_limit: float
     Intended for non-moderate G; for a moderate G the search fails at some n
     and raises SearchExhaustedError carrying the last index achieved.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    check_size("count", count)
     if search_limit <= _SEARCH_START:
         raise DomainError(f"search_limit must exceed {_SEARCH_START:g}")
     npts = int(math.ceil(math.log(search_limit / _SEARCH_START) / math.log(_SEARCH_RATIO))) + 1
@@ -430,6 +433,7 @@ def doubling_witness_exp(b: float, count: int) -> np.ndarray:
     Tracks log n instead of walking the generic geometric grid, which cannot
     resolve the ~1/n spacing the sequence needs once n is large.
     """
-    if b <= 0 or count < 1:
-        raise DomainError("need b > 0 and count >= 1")
+    if b <= 0:
+        raise DomainError("need b > 0")
+    check_size("count", count)
     return np.log(np.arange(1, count + 1, dtype=float) + 1.0) / b

@@ -55,7 +55,7 @@ CASES = {
     "bounds-2": (
         ["bounds", "--prop", "2", "--dist", "rademacher", "--g", "power:r=2",
          "--n-max", "256", "--reps-per-block", "500"],
-        {"json": ("8fbbf8012e6e6a7abb03d11e2662bb080194a35fddb4dce69775df68f9e8c49d", 0)},
+        {"json": ("650688eeed59258e6db13a6ec7c2255b3eedc0213ce3f17de562110b6edb1f7e", 0)},
     ),
     "bounds-sym": (
         ["bounds", "--prop", "sym", "--dist", "rademacher", "--g", "power:r=1",

@@ -65,3 +65,6 @@ def test_refuses_laws_off_the_lattice_and_empty_walks():
             call(parse_dist_spec("gaussian:sigma=1"), 5, 0.5)
         with pytest.raises(DomainError, match="n must be >= 1"):
             call(parse_dist_spec("rademacher"), 0, 0.5)
+        for n in (2.5, True, 3.0):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                call(parse_dist_spec("rademacher"), n, 0.5)

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
+
+from bklab.bounds import H_GRID
 
 from bklab.errors import (
     ConditionViolationError,
@@ -13,6 +17,7 @@ from bklab.errors import (
 from bklab.functions import (
     GridSpec,
     audit_function,
+    check_tail_condition,
     counterexample_sequence,
     custom,
     doubling_ratio_sup,
@@ -113,15 +118,15 @@ def test_is_moderate_threshold_validation():
 
 def test_h_majorant_zeta2_oracles():
     # sum_{k>=1} k^-2 = pi^2/6 for both G(k) = k (p=2) and G == 1 (p=1)
-    assert math.isclose(h_majorant(identity(), 2, 1), PI2_6, rel_tol=1e-9)
-    assert math.isclose(h_majorant(power(0), 1, 1), PI2_6, rel_tol=1e-9)
+    assert math.isclose(h_majorant(identity(), 2, 1), PI2_6, rel_tol=1e-13)
+    assert math.isclose(h_majorant(power(0), 1, 1), PI2_6, rel_tol=1e-13)
 
 
 def test_h_majorant_far_tail():
     # oracle: exact zeta remainder sum_{k>=1000} k^-2
     exact = PI2_6 - math.fsum(1.0 / (k * k) for k in range(1, 1000))
     got = h_majorant(identity(), 2, 1000)
-    assert math.isclose(got, 1e6 * exact, rel_tol=1e-9)
+    assert math.isclose(got, 1e6 * exact, rel_tol=1e-13)
 
 
 def test_h_majorant_condition_violation():
@@ -140,10 +145,62 @@ def test_h_majorant_tail_normalized_nonincreasing():
 
 def test_h_scaling_constant_oracles():
     grid = GridSpec(1.0, 1e4, 25)
-    assert math.isclose(h_scaling_constant(identity(), 2, grid), PI2_6, rel_tol=1e-9)
-    assert math.isclose(h_scaling_constant(power(0), 1, grid), PI2_6, rel_tol=1e-9)
+    assert math.isclose(h_scaling_constant(identity(), 2, grid), PI2_6, rel_tol=1e-13)
+    assert math.isclose(h_scaling_constant(power(0), 1, grid), PI2_6, rel_tol=1e-13)
     c = h_scaling_constant(power(2), 4, grid)
     assert math.isfinite(c) and c > 0
+
+
+H_NS = [int(n) for n in np.unique(np.clip(np.round(H_GRID.values()), 1, None))]
+
+
+@pytest.mark.parametrize("r, p", [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4)])
+def test_h_majorant_power_closed_form(r, p):
+    # (1+k)^r = sum_j C(r,j) k^j, so the tail sum is sum_j C(r,j) zeta(p+1-j, n)
+    for n in H_NS:
+        exact = n**p * math.fsum(math.comb(r, j) * zeta(p + 1 - j, n) for j in range(r + 1))
+        assert math.isclose(h_majorant(power(r), p, n), exact, rel_tol=1e-13), n
+
+
+def test_h_scaling_constant_lattice_cell_closed_form():
+    # 40-digit Hurwitz-zeta value of the power:r=2, p=3 constant on H_GRID
+    assert abs(h_scaling_constant(power(2), 3, H_GRID) - 1.28284277671963830) <= 2e-15
+
+
+@pytest.mark.parametrize(
+    "n, value", [(1, 4.284214815418912), (64, 335.9951750682389), (4096, 38175.498711970904)]
+)
+def test_h_majorant_powlog_reference(n, value):
+    # recorded from a rule that summed until the next term was below 2e-9 of the total
+    assert math.isclose(h_majorant(powlog(1, 1), 2, n), value, rel_tol=1e-12)
+
+
+def test_h_scaling_constant_memory():
+    # summing stops near 4n, so the term arrays of the 25 grid points stay small
+    tracemalloc.start()
+    try:
+        h_scaling_constant(power(2), 3, H_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_majorant(power(1), 2, True),
+        lambda: h_majorant(power(1), 2, 2.5),
+        lambda: check_tail_condition(power(1), 2.0),
+        lambda: GridSpec(1.0, 2.0, 2.5),
+        lambda: GridSpec(1.0, 2.0, 1),
+        lambda: counterexample_sequence(exponential(1.0), 2.5, 10.0),
+        lambda: doubling_witness_exp(1.0, 2.5),
+    ],
+)
+def test_sizes_must_be_integers(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_h_scaling_constant_dominates_majorant():
