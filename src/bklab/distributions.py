@@ -24,10 +24,12 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .functions import (
+    REQUIRED,
     ModerateFunction,
     counterexample_sequence,
     doubling_witness_exp,
     parse_function_spec,
+    parse_spec,
     spec_number,
 )
 from .quadrature import doubling_edges, geometric_tail, panel_integrals
@@ -72,6 +74,8 @@ class Distribution:
     lattice = None  # (origin, step, offsets, masses) when the atoms lie on a lattice
 
     def mean(self) -> float:
+        if self.symmetric:
+            return 0.0
         raise NotImplementedError
 
     def sample_array(self, gen: np.random.Generator, n: int, dtype=np.float64) -> np.ndarray:
@@ -295,9 +299,6 @@ class UniformSymmetric(Distribution):
         if not 0 < self.half_width < math.inf:
             raise DomainError(f"half_width must be positive and finite, got {self.half_width!r}")
 
-    def mean(self):
-        return 0.0
-
     def sample_array(self, gen, n, dtype=np.float64):
         x = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
         x *= 2.0
@@ -342,9 +343,6 @@ class TwoSidedPareto(Distribution):
             raise DomainError(
                 f"pareto needs finite beta > 0 and scale > 0, got {self.beta!r} and {self.scale!r}"
             )
-
-    def mean(self):
-        return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
         # One uniform per draw: v = 2u-1 has |v| uniform on [0,1) independent
@@ -411,9 +409,6 @@ class Gaussian(Distribution):
         if not 0 < self.sigma < math.inf:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
 
-    def mean(self):
-        return 0.0
-
     def sample_array(self, gen, n, dtype=np.float64):
         x = gen.standard_normal(n, dtype=np.float32 if dtype == np.float32 else np.float64)
         x *= self.sigma
@@ -453,9 +448,6 @@ class TriangularSymmetric(Distribution):
     def __post_init__(self):
         if not 0 < self.half_width < math.inf:
             raise DomainError(f"half_width must be positive and finite, got {self.half_width!r}")
-
-    def mean(self):
-        return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
         v = gen.random(n, dtype=np.float32 if dtype == np.float32 else np.float64)
@@ -565,9 +557,6 @@ class CounterexampleDist(Distribution):
     def _cum(self) -> np.ndarray:
         return np.cumsum(self._atom_probs)
 
-    def mean(self):
-        return 0.0
-
     def sample_array(self, gen, n, dtype=np.float64):
         # Always draws 64-bit uniforms: the stored atoms carry masses far
         # below float32 resolution.
@@ -615,9 +604,6 @@ class Symmetrized(Distribution):
     inner: Distribution
     name = "symmetrized"
     symmetric = True
-
-    def mean(self):
-        return 0.0
 
     def sample_array(self, gen, n, dtype=np.float64):
         flat = self.inner.sample_array(gen, 2 * n, dtype)
@@ -893,18 +879,28 @@ def law_rows(law: CounterexampleLaw) -> np.ndarray:
     return np.column_stack((law.atom_values, law.atom_masses))
 
 
-def parse_dist_spec(text: str) -> Distribution:
-    """Build a law from a CLI spec string.
+_LAWS = {
+    "rademacher": (rademacher, {}),
+    "uniform": (UniformSymmetric, {"w": 1.0}),
+    "triangular": (TriangularSymmetric, {"w": 2.0}),
+    "gaussian": (Gaussian, {"sigma": 1.0}),
+    "pareto2": (TwoSidedPareto, {"beta": REQUIRED, "scale": 1.0}),
+    "bernoulli": (lambda p, v0, v1: bernoulli(p, (v0, v1)), {"p": REQUIRED, "v0": 0.0, "v1": 1.0}),
+    "counterexample": (
+        lambda G, prefix: counterexample_dist(parse_function_spec(G), prefix),
+        {"G": "exp", "prefix": 100_000},
+    ),
+}
 
-    Examples: ``rademacher``, ``uniform:w=1``, ``pareto2:beta=3``,
-    ``gaussian:sigma=1``, ``bernoulli:p=0.9,v0=0,v1=1``,
+
+def parse_dist_spec(text: str) -> Distribution:
+    """Build a law from a CLI spec string: ``sym:<inner>``,
     ``discrete:-2@0.25;0@0.5;2@0.25`` (atom@mass, as ``Discrete`` writes it),
-    ``counterexample:G=exp,prefix=100000``, ``sym:uniform:w=1``.
-    """
-    text = text.strip()
-    if text.startswith("sym:"):
-        return symmetrize(parse_dist_spec(text[4:]))
-    head, _, rest = text.partition(":")
+    or a ``_LAWS`` kind read by ``parse_spec``, such as ``pareto2:beta=3`` or
+    ``counterexample:G=exp,prefix=100000``."""
+    head, _, rest = text.strip().partition(":")
+    if head == "sym":
+        return symmetrize(parse_dist_spec(rest))
     if head == "discrete":
         values, probs = [], []
         for item in rest.split(";"):
@@ -915,32 +911,4 @@ def parse_dist_spec(text: str) -> Distribution:
             except ValueError:
                 raise DomainError(f"bad discrete atom {item!r}, expected value@mass") from None
         return Discrete(tuple(values), tuple(probs))
-    kwargs: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            k, eq, v = item.partition("=")
-            if not eq:
-                raise DomainError(f"bad distribution spec item {item!r}")
-            kwargs[k.strip()] = v.strip()
-    if head == "rademacher":
-        return rademacher()
-    if head == "uniform":
-        return UniformSymmetric(float(kwargs.get("w", 1.0)))
-    if head == "pareto2":
-        return TwoSidedPareto(float(kwargs["beta"]), float(kwargs.get("scale", 1.0)))
-    if head == "gaussian":
-        return Gaussian(float(kwargs.get("sigma", 1.0)))
-    if head == "bernoulli":
-        return bernoulli(
-            float(kwargs["p"]),
-            (float(kwargs.get("v0", 0.0)), float(kwargs.get("v1", 1.0))),
-        )
-    if head == "counterexample":
-        gspec = kwargs.get("G", "exp")
-        if ":" not in gspec:
-            gspec = {"exp": "exp:b=1"}.get(gspec, gspec)
-        g = parse_function_spec(gspec)
-        return counterexample_dist(g, int(kwargs.get("prefix", 100_000)))
-    if head == "triangular":
-        return TriangularSymmetric(float(kwargs.get("w", 2.0)))
-    raise DomainError(f"unknown distribution kind {head!r}")
+    return parse_spec(text, _LAWS, "distribution kind")

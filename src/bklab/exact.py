@@ -51,10 +51,7 @@ def _beyond(dist: Distribution, values: np.ndarray, level: float) -> np.ndarray:
 
 def exact_dev_prob(dist: Distribution, n: int, a: float) -> float:
     """P[|S_n/n| >= a] by exact enumeration (finite-support lattice laws)."""
-    _check(dist, n, a)
-    for values, masses in lattice_sums(dist, n):
-        pass
-    return math.fsum(masses[_beyond(dist, values, a * n)])
+    return dev_probs(dist, n, a)[-1]
 
 
 def dev_probs(dist: Distribution, n: int, a: float) -> list[float]:

@@ -121,8 +121,8 @@ class ModerateFunction:
 
 def power(r: float) -> ModerateFunction:
     """G(t) = (1+t)^r.  Moderate with doubling constant exactly 2^r."""
-    if r < 0:
-        raise DomainError("power family needs r >= 0 to be nondecreasing")
+    if not 0 <= r < math.inf:  # NaN passes no comparison
+        raise DomainError(f"power family needs a finite r >= 0, got {r!r}")
     return ModerateFunction(
         name="power",
         params={"r": float(r)},
@@ -136,8 +136,8 @@ def power(r: float) -> ModerateFunction:
 
 def powlog(r: float, s: float) -> ModerateFunction:
     """G(t) = (1+t)^r * log(e+t)^s.  Moderate for r, s >= 0."""
-    if r < 0 or s < 0:
-        raise DomainError("powlog family needs r, s >= 0 to be nondecreasing")
+    if not (0 <= r < math.inf and 0 <= s < math.inf):
+        raise DomainError(f"powlog family needs finite r, s >= 0, got {r!r} and {s!r}")
     return ModerateFunction(
         name="powlog",
         params={"r": float(r), "s": float(s)},
@@ -152,8 +152,8 @@ def powlog(r: float, s: float) -> ModerateFunction:
 
 def exponential(b: float) -> ModerateFunction:
     """G(t) = exp(b*t) with b > 0.  Not moderate: the doubling ratio is exp(b*t)."""
-    if b <= 0:
-        raise DomainError("exp family needs b > 0")
+    if not 0 < b < math.inf:
+        raise DomainError(f"exp family needs a finite b > 0, got {b!r}")
     return ModerateFunction(
         name="exp",
         params={"b": float(b)},
@@ -186,28 +186,55 @@ def custom(
     )
 
 
+REQUIRED = object()  # a parse_spec default for a key the spec must give
+
+
+def parse_spec(text: str, families: dict, what: str):
+    """Build the object a ``kind:key=value,...`` spec names.
+
+    ``families[kind]`` is ``(build, {key: default})``; ``build`` takes the
+    values of the keys in that order.  A given value is read as the type of
+    its default (float for a ``REQUIRED`` key).  ``what`` names the kinds in
+    messages ("function family").  An unknown kind or key, an item without
+    "=", a repeated or missing key, or a value that does not read raises
+    DomainError."""
+    head, _, rest = text.strip().partition(":")
+    if head not in families:
+        raise DomainError(f"unknown {what} {head!r}")
+    build, defaults = families[head]
+    bad = f"bad {what.split()[0]} spec item"
+    given = {}
+    for item in rest.split(",") if rest else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise DomainError(f"{bad} {item!r}, expected key=value")
+        if key not in defaults:
+            raise DomainError(f"{bad} {item!r}: {head} takes no key {key!r}")
+        if key in given:
+            raise DomainError(f"{bad} {item!r}: {key} is given twice")
+        default = defaults[key]
+        read = float if default is REQUIRED else type(default)
+        try:
+            given[key] = read(value)
+        except ValueError:
+            raise DomainError(f"{bad} {item!r}: {key} must read as {read.__name__}") from None
+    missing = [key for key, default in defaults.items() if default is REQUIRED and key not in given]
+    if missing:
+        raise DomainError(f"{what} {head!r} needs {', '.join(missing)}, got {text.strip()!r}")
+    return build(*(given.get(key, default) for key, default in defaults.items()))
+
+
+_FAMILIES = {
+    "power": (power, {"r": 1.0}),
+    "powlog": (powlog, {"r": 1.0, "s": 1.0}),
+    "exp": (exponential, {"b": 1.0}),
+    "const": (lambda: power(0.0), {}),
+}
+
+
 def parse_function_spec(text: str) -> ModerateFunction:
     """Build a function from a CLI spec like ``power:r=2`` or ``exp:b=0.5``."""
-    head, _, rest = text.strip().partition(":")
-    kwargs = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if not _:
-                raise DomainError(f"bad function spec item {item!r}")
-            kwargs[k.strip()] = float(v)
-    try:
-        if head == "power":
-            return power(kwargs.get("r", 1.0))
-        if head == "powlog":
-            return powlog(kwargs.get("r", 1.0), kwargs.get("s", 1.0))
-        if head == "exp":
-            return exponential(kwargs.get("b", 1.0))
-        if head == "const":
-            return power(0.0)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters for {head!r}: {exc}") from exc
-    raise DomainError(f"unknown function family {head!r}")
+    return parse_spec(text, _FAMILIES, "function family")
 
 
 DEFAULT_AUDIT_GRID = GridSpec(1e-2, 1e6, 321)
@@ -246,9 +273,9 @@ class DoublingReport:
     verdict: Verdict
 
 
-def _decade_log_ratios(g: ModerateFunction, ts: np.ndarray) -> np.ndarray:
-    """Max of log[G(2t)/G(t)] per decade of t, for decades present in ts."""
-    lr = g.log_eval(2.0 * ts) - g.log_eval(ts)
+def _decade_log_ratios(lr: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Max of the log doubling ratios ``lr`` = log[G(2t)/G(t)] per decade of
+    t, for decades present in ts."""
     decades = np.floor(np.log10(ts)).astype(int)
     out = []
     for d in np.unique(decades):
@@ -272,7 +299,7 @@ def doubling_ratio_sup(
     log_max = float(lr.max())
     grid_max = math.exp(log_max) if log_max < 700 else math.inf
 
-    per_decade = _decade_log_ratios(g, ts)
+    per_decade = _decade_log_ratios(lr, ts)
     if per_decade.size >= 2:
         growing = per_decade[-1] - per_decade[-2] >= math.log(growth_threshold)
     else:

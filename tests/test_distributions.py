@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from bklab.distributions import (
     truncation_threshold,
 )
 from bklab.errors import DomainError, PrecisionError, UnsupportedOperationError
-from bklab.functions import doubling_witness_exp, exponential, power
+from bklab.functions import doubling_witness_exp, exponential, power, powlog
 
 ALL_KINDS = [
     rademacher(),
@@ -306,6 +307,54 @@ def test_atom_mass_validation():
 def test_non_finite_law_parameters_are_refused(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: power(math.nan),
+    lambda: power(math.inf),
+    lambda: powlog(math.nan, 1.0),
+    lambda: powlog(1.0, math.inf),
+    lambda: exponential(math.nan),
+    lambda: exponential(math.inf),
+], ids=["power-nan", "power-inf", "powlog-r-nan", "powlog-s-inf", "exp-nan", "exp-inf"])
+def test_non_finite_function_parameters_are_refused(build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("pareto2", "distribution kind 'pareto2' needs beta"),
+    ("bernoulli", "distribution kind 'bernoulli' needs p"),
+    ("bernoulli:v0=-1", "distribution kind 'bernoulli' needs p"),
+    ("gaussian:sigm=5", "bad distribution spec item 'sigm=5': gaussian takes no key 'sigm'"),
+    ("rademacher:p=0.5", "rademacher takes no key 'p'"),
+    ("uniform:w=1,w=2", "bad distribution spec item 'w=2': w is given twice"),
+    ("uniform:w", "bad distribution spec item 'w', expected key=value"),
+    ("uniform:w=one", "w must read as float"),
+    ("counterexample:G=exp,prefix=x", "bad distribution spec item 'prefix=x': prefix must read as int"),
+    ("counterexample:G=exp,prefix=10.5", "prefix must read as int"),
+    ("counterexample:G=exp:c=1", "exp takes no key 'c'"),
+    ("cauchy:gamma=1", "unknown distribution kind 'cauchy'"),
+])
+def test_malformed_law_specs_are_refused(spec, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        parse_dist_spec(spec)
+
+
+def test_law_spec_defaults():
+    assert parse_dist_spec("uniform") == UniformSymmetric(1.0)
+    assert parse_dist_spec("triangular") == TriangularSymmetric(2.0)
+    assert parse_dist_spec("gaussian") == Gaussian(1.0)
+    assert parse_dist_spec("pareto2:beta=3") == TwoSidedPareto(3.0, 1.0)
+    assert parse_dist_spec("bernoulli:p=0.25") == bernoulli(0.25, (0.0, 1.0))
+    assert parse_dist_spec(" sym: uniform:w = 2 ") == TriangularSymmetric(4.0)
+    d = parse_dist_spec("counterexample:prefix=1000")
+    assert d.spec_string() == "counterexample:G=exp:b=1,prefix=1000"
+
+
+@pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec_string())
+def test_symmetric_laws_have_mean_zero(dist):
+    assert dist.symmetric == (dist.mean() == 0.0)
 
 
 @pytest.mark.parametrize("dist", [

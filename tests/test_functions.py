@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,39 @@ def test_parse_function_spec():
     assert parse_function_spec("const").eval(5.0) == 1.0
     with pytest.raises(DomainError):
         parse_function_spec("mystery:x=1")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("power:s=3", "bad function spec item 's=3': power takes no key 's'"),
+    ("exp:b=1,b=2", "bad function spec item 'b=2': b is given twice"),
+    ("power:r=x", "bad function spec item 'r=x': r must read as float"),
+    ("power:r", "bad function spec item 'r', expected key=value"),
+    ("const:r=1", "const takes no key 'r'"),
+    ("power:r=nan", "power family needs a finite r >= 0"),
+    ("exp:b=inf", "exp family needs a finite b > 0"),
+])
+def test_malformed_function_specs_are_refused(spec, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        parse_function_spec(spec)
+
+
+def test_function_spec_defaults():
+    assert parse_function_spec("power").params == {"r": 1.0}
+    assert parse_function_spec("powlog:s=2").params == {"r": 1.0, "s": 2.0}
+    assert parse_function_spec("exp").spec_string() == "exp:b=1"
+    assert parse_function_spec("const").params == {"r": 0.0}
+
+
+def test_doubling_ratio_sup_evaluates_the_grid_once():
+    calls = []
+
+    def log_fn(t):
+        calls.append(t.size)
+        return np.log1p(t)
+
+    g = custom("counted", lambda t: 1.0 + t, log_fn=log_fn)
+    doubling_ratio_sup(g, GridSpec(1e-2, 1e4, 61))
+    assert calls == [61, 61]
 
 
 def test_grid_spec_validation():

@@ -910,6 +910,52 @@ def test_cli_non_finite_law_parameter_exits_2(spec, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["moderate-audit", "--g", "exp:b=inf"], "exp family needs a finite b > 0, got inf"),
+    (["last-exit", "--dist", "rademacher", "--g", "power:r=nan", "--a", "1",
+      "--horizon", "16", "--reps", "10"], "power family needs a finite r >= 0, got nan"),
+    (["series", "--dist", "rademacher", "--g", "powlog:r=1,s=inf", "--a", "1"],
+     "powlog family needs finite r, s >= 0"),
+])
+def test_cli_non_finite_function_parameter_exits_2(args, message):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+_SMALL = ["--horizon", "16", "--reps", "10"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["last-exit", "--dist", "gaussian:sigm=5", "--g", "power", "--a", "1", *_SMALL],
+     "gaussian takes no key 'sigm'"),
+    (["last-exit", "--dist", "uniform:w=1,w=2", "--g", "power", "--a", "1", *_SMALL],
+     "w is given twice"),
+    (["theorem1-matrix", "--dists", "rademacher,pareto2", "--g", "power", *_SMALL],
+     "distribution kind 'pareto2' needs beta"),
+    (["theorem1-matrix", "--dists", "bernoulli", "--g", "power", *_SMALL],
+     "distribution kind 'bernoulli' needs p"),
+    (["theorem1-matrix", "--dists", "rademacher", "--g", "power:s=3", *_SMALL],
+     "power takes no key 's'"),
+    (["counterexample", "--g", "exp:b=1,b=2"], "b is given twice"),
+    (["counterexample", "--g", "exp:b=x"], "b must read as float"),
+])
+def test_cli_malformed_spec_exits_2(args, message):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and message in res.output
+    assert "Traceback" not in res.output
+
+
+def test_run_config_malformed_spec_exits_2(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "last-exit", "dist": "counterexample:G=exp,prefix=x",
+                                "g": "power:r=1", "a": 1.0, "horizon": 16, "reps": 10}))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "error: bad distribution spec item 'prefix=x': prefix must read as int" in res.output
+
+
 @pytest.mark.parametrize("spec,message", [
     ("discrete:", "bad discrete atom ''"),
     ("discrete:1@", "bad discrete atom '1@'"),
