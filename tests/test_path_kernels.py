@@ -5,19 +5,23 @@ that allocates a new array per operation, and the two-atom sampler as the
 float64 comparison ``u < p0`` feeding ``np.where``; ``ref_last_exit_samples``
 is the general last-exit scan, which subtracts ``center * n`` from every
 running sum even at center 0, over whole blocks of paths;
-``ref_deviation_profile`` records the profile from whole step chunks, each
-drawn by one ``sample_array`` call.  The library samplers must give the same
-bits and leave the generator in the same state, the path draw of
-``lastexit`` the bits of one ``sample_array`` call, ``last_exit_samples``
-the same values and censor flags, and ``deviation_profile`` the same
-recorded means.
+``ref_deviation_profile`` records the profile, and ``ref_tail_prob_mean`` and
+``ref_levy_maximal_check`` run their Monte Carlo branches, from whole step
+chunks, each drawn by one ``sample_array`` call.  The library samplers must
+give the same bits and leave the generator in the same state, the path draw
+of ``lastexit`` the bits of one ``sample_array`` call, ``last_exit_samples``
+the same values and censor flags, ``deviation_profile`` the same recorded
+means, and the tail and Levy audits the same reports.
 
 The stream pins in ``tests/test_streams.py`` all run at a = 0.05, where the
 exclusion bound skips no segment; these cases use a in {0.25, 0.5, 1}, so
 the skip branch, the carry of the running sums and the scan all run, with
 4100 paths (two replicate blocks) and horizons that end on a chunk boundary
-(2048) and inside a chunk (2500).
+(2048) and inside a chunk (2500); the tail and Levy audits also run 300
+steps, less than one chunk.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -35,10 +39,14 @@ from bklab.distributions import (
 from bklab.lastexit import (
     _SEG_STEPS,
     _TILE,
+    LevyReport,
     PathConfig,
+    TailProbEstimate,
     _f32,
     deviation_profile,
     last_exit_samples,
+    levy_maximal_check,
+    tail_prob_mean,
 )
 
 LAWS = {
@@ -152,6 +160,38 @@ def ref_deviation_profile(dist, n_max, reps, seed, n_small=64):
     return endpoints, small, epvals
 
 
+def ref_tail_prob_mean(dist, n, a, reps, seed):
+    count = 0
+    draw = lambda gen, k: dist.sample_array(gen, k, np.float32)
+    for _start, size, gen in rng.blocks(reps, seed, rng.STREAM_TAILPROB):
+        total = np.zeros(size)
+        for _n0, draws in rng.walk(draw, size, gen, n):
+            total += draws.sum(axis=1, dtype=np.float64)
+        count += int(np.count_nonzero(np.abs(total) / n >= a))
+    p = count / reps
+    return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
+
+
+def ref_levy_maximal_check(dist, m, t, reps, seed):
+    hit_max = 0
+    hit_end = 0
+    draw = lambda gen, k: dist.sample_array(gen, k, np.float32)
+    for _start, size, gen in rng.blocks(reps, seed, rng.STREAM_LEVY):
+        running = np.zeros(size)
+        runmax = np.zeros(size)
+        for _n0, draws in rng.walk(draw, size, gen, m):
+            cums = np.cumsum(draws, axis=1, dtype=np.float64)
+            cums += running[:, None]
+            runmax = np.maximum(runmax, np.abs(cums).max(axis=1))
+            running = cums[:, -1].copy()
+        hit_max += int(np.count_nonzero(runmax >= t))
+        hit_end += int(np.count_nonzero(np.abs(running) >= t))
+    p_max, p_end = hit_max / reps, hit_end / reps
+    se_max = math.sqrt(p_max * (1.0 - p_max) / reps)
+    se_end = math.sqrt(p_end * (1.0 - p_end) / reps)
+    return LevyReport(p_max, 2.0 * p_end, se_max, 2.0 * se_end, False)
+
+
 def _same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
@@ -252,3 +292,27 @@ def test_deviation_profile_matches_reference(law, n_max):
     _same_bits(prof.endpoints, endpoints)
     _same_bits(prof.small_values, small)
     _same_bits(prof.endpoint_values, epvals)
+
+
+# m = 300 ends inside the first tile's chunk, 2048 on a chunk edge, 2500
+# inside the second chunk.
+FIXED_N = (300, 2048, 2500)
+
+
+@pytest.mark.parametrize("n", FIXED_N)
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_tail_prob_mean_matches_reference(law, n):
+    dist = LAWS[law]
+    # a level near one standard error of the mean keeps both outcomes common
+    a = 1.0 / math.sqrt(n)
+    got = tail_prob_mean(dist, n, a, REPS, 5)
+    assert repr(got) == repr(ref_tail_prob_mean(dist, n, a, REPS, 5))
+
+
+@pytest.mark.parametrize("m", FIXED_N)
+@pytest.mark.parametrize("law", sorted(k for k, d in LAWS.items() if d.symmetric))
+def test_levy_maximal_check_matches_reference(law, m):
+    dist = LAWS[law]
+    t = math.sqrt(m)
+    got = levy_maximal_check(dist, m, t, REPS, 5)
+    assert repr(got) == repr(ref_levy_maximal_check(dist, m, t, REPS, 5))
