@@ -47,7 +47,6 @@ from .functions import (
     exponential,
     h_majorant,
     h_scaling_constant,
-    is_moderate_numeric,
     parse_function_spec,
     power,
     powlog,

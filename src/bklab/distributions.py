@@ -898,6 +898,8 @@ def parse_dist_spec(text: str) -> Distribution:
     ``discrete:-2@0.25;0@0.5;2@0.25`` (atom@mass, as ``Discrete`` writes it),
     or a ``_LAWS`` kind read by ``parse_spec``, such as ``pareto2:beta=3`` or
     ``counterexample:G=exp,prefix=100000``."""
+    if not isinstance(text, str):
+        raise DomainError(f"a distribution spec must be a string, got {text!r}")
     head, _, rest = text.strip().partition(":")
     if head == "sym":
         return symmetrize(parse_dist_spec(rest))

@@ -25,7 +25,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .quadrature import doubling_edges, geometric_tail, panel_integrals
-from .report import DIVERGENT, DOUBLING, FINITE, MODERATION, Verdict
+from .report import DIVERGENT, DOUBLING, FINITE, Verdict
 from .rng import check_size
 
 P_MAX = 12  # largest exponent p that the tail-integrability scans try
@@ -198,6 +198,8 @@ def parse_spec(text: str, families: dict, what: str):
     messages ("function family").  An unknown kind or key, an item without
     "=", a repeated or missing key, or a value that does not read raises
     DomainError."""
+    if not isinstance(text, str):
+        raise DomainError(f"a {what.split()[0]} spec must be a string, got {text!r}")
     head, _, rest = text.strip().partition(":")
     if head not in families:
         raise DomainError(f"unknown {what} {head!r}")
@@ -238,31 +240,6 @@ def parse_function_spec(text: str) -> ModerateFunction:
 
 
 DEFAULT_AUDIT_GRID = GridSpec(1e-2, 1e6, 321)
-
-
-def audit_function(g: ModerateFunction, grid: GridSpec | None = None) -> dict:
-    """Check the basic invariants of G on a grid: positivity, monotonicity,
-    growth to infinity (when claimed), and the claimed doubling constant."""
-    grid = grid or DEFAULT_AUDIT_GRID
-    ts = grid.values()
-    vals = g.eval(ts)
-    report = {
-        "name": g.spec_string(),
-        "positive": bool(np.all(vals > 0)) and g.eval(0.0) > 0,
-        "nondecreasing": bool(np.all(np.diff(vals) >= -1e-12 * np.abs(vals[:-1]))),
-    }
-    if g.unbounded:
-        # On a diverging grid the log of G must keep climbing.
-        lg = g.log_eval(ts)
-        report["diverges"] = bool(lg[-1] > lg[0] + 1.0) or bool(lg[-1] > 50)
-    else:
-        report["diverges"] = False
-    if g.claimed_moderate and g.claimed_doubling is not None:
-        lr = g.log_eval(2.0 * ts) - g.log_eval(ts)
-        report["doubling_ok"] = bool(np.all(lr <= math.log(g.claimed_doubling) + 1e-9))
-    else:
-        report["doubling_ok"] = None
-    return report
 
 
 @dataclass(frozen=True)
@@ -312,16 +289,6 @@ def doubling_ratio_sup(
     elif g.name == "exp":
         analytic = math.inf
     return DoublingReport(grid_max, log_max, analytic, verdict)
-
-
-def is_moderate_numeric(
-    g: ModerateFunction,
-    grid: GridSpec | None = None,
-    growth_threshold: float = 1.5,
-) -> Verdict:
-    """Evidence verdict on moderation from the trend of the doubling ratio
-    across grid decades.  Numerical evidence only, never a proof."""
-    return MODERATION[doubling_ratio_sup(g, grid, growth_threshold).verdict.kind]
 
 
 _TAIL_OCTAVES = 26

@@ -4,15 +4,15 @@ maximal-inequality audit, by Monte Carlo.  The series head is the first
 ``HEAD`` = 64 terms; for lattice laws it, and walks of up to
 ``exact.MAX_STEPS`` steps, are enumerated in ``exact``.
 
-Paths follow the stream layout of ``rng.blocks`` and ``rng.walk``: replicate
-blocks on their own substreams, consumed in step chunks with running sums
-only.  Results are therefore identical for a fixed seed no matter how many
-workers schedule the blocks.  A simulation holds one float32 step chunk: its
-blocks share one draw buffer, filled in cache-sized pieces of ``rng.PIECE``
-draws, and the last-exit scan, the exclusion bound's sums of |X| included,
-works in tiles of ``_TILE`` paths by one segment.  A call's memory
-therefore stays bounded by one chunk of one block plus the scan's tile
-buffers (about 1.5 MB) and the sampler's temporaries for one piece.
+Paths follow the stream layout of ``rng.blocks`` and ``rng.tiles``, which
+``_walks`` alone reads: replicate blocks on their own substreams, consumed in
+step chunks with running sums only, so results are identical for a fixed
+seed however workers schedule the blocks.  Draws fill one float32 buffer in
+cache-sized pieces of ``rng.PIECE``.  The last-exit scan holds one step chunk
+of one block, worked in tiles of ``_TILE`` paths by one segment (about 1.5 MB
+of buffers); the profile, tail and Levy walks hold one tile of ``_TILE``
+paths by one chunk.  Beyond that a call holds its per-path state and the
+sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -115,7 +115,7 @@ def needs_profile(dist: Distribution, n_max: int) -> bool:
 
 
 def _f32(dist: Distribution):
-    """The float32 sampler of ``dist`` as an ``rng.walk`` draw that fills one
+    """The float32 sampler of ``dist`` as an ``rng.tiles`` draw that fills one
     buffer, grown on demand and reused by every call, in pieces of
     ``rng.PIECE`` draws.  Generator fills are sequential, so the draws and the
     generator state after a call are those of one ``sample_array(gen, n,
@@ -133,6 +133,16 @@ def _f32(dist: Distribution):
         return out
 
     return draw
+
+
+def _walks(dist: Distribution, reps: int, n_steps: int, seed: int, *key: int, rows: int = _TILE):
+    """``(paths, n0, x)`` per tile of ``rows`` paths, block by block and chunk
+    by chunk: ``x[r, j]`` is step ``n0 + j`` of path ``paths.start + r`` of the
+    ``reps``-path walk on stream ``(seed, *key)``, valid until the next tile."""
+    draw = _f32(dist)
+    for start, size, gen in _rng.blocks(reps, seed, *key):
+        for n0, r0, x in _rng.tiles(draw, size, gen, n_steps, _rng.CHUNK, rows):
+            yield slice(start + r0, start + r0 + x.shape[0]), n0, x
 
 
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
@@ -161,50 +171,49 @@ def last_exit_samples(
     check_level(a)
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
     values = np.zeros(reps, dtype=np.int64)
-    draw = _f32(dist)
-    for start, size, gen in _rng.blocks(reps, cfg.seed, _rng.STREAM_LASTEXIT, stream):
-        running = np.zeros(size)
-        last = values[start : start + size]
-        # Scan buffers for one tile of paths by one segment; every step of
-        # the scan works row by row, so tiles give the bits of whole blocks.
-        tile = min(size, _TILE)
-        abs_buf = np.empty((tile, _SEG_STEPS), dtype=np.float32)
-        cums_buf = np.empty((tile, _SEG_STEPS))
-        dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
-        l1 = np.empty(size)
-        for n0, draws in _rng.walk(draw, size, gen, horizon):
-            steps = draws.shape[1]
-            # Per-segment exclusion: within a segment starting at m0,
-            # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that
-            # stays below a*m0 the segment cannot contain a deviation and
-            # only the carry is needed.
-            for j0 in range(0, steps, _SEG_STEPS):
-                j1 = min(j0 + _SEG_STEPS, steps)
-                seg = draws[:, j0:j1]
-                m0 = n0 + j0
-                m_hi = n0 + j1 - 1
-                w = j1 - j0
-                for r0 in range(0, size, _TILE):
-                    rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
-                    np.abs(seg[rows], out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1[rows])
-                if float((np.abs(running) + l1).max()) + abs(x) * m_hi < a * m0:
-                    running += seg.sum(axis=1, dtype=np.float64)
-                    continue
-                ns = np.arange(m0, m_hi + 1, dtype=float)
-                shift, bound = x * ns, a * ns
-                for r0 in range(0, size, _TILE):
-                    rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
-                    cums = np.cumsum(seg[rows], axis=1, dtype=np.float64, out=cums_buf[:k, :w])
-                    cums += running[rows, None]
-                    running[rows] = cums[:, -1]
-                    # running holds the carry, so cums is free to overwrite
-                    if x != 0.0:
-                        cums -= shift
-                    dev = np.greater_equal(np.abs(cums, out=cums), bound, out=dev_buf[:k, :w])
-                    hit = dev.any(axis=1)
-                    if hit.any():
-                        lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
-                        np.copyto(last[rows], m0 + lastpos, where=hit)
+    running, l1 = np.zeros(reps), np.empty(reps)
+    # Scan buffers for one tile of paths by one segment; every step of the
+    # scan works row by row, so tiles give the bits of whole blocks.
+    tile = min(reps, _TILE)
+    abs_buf = np.empty((tile, _SEG_STEPS), dtype=np.float32)
+    cums_buf = np.empty((tile, _SEG_STEPS))
+    dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
+    # The exclusion bound decides for a whole block at once: the skip sums
+    # pairwise and the scan sequentially, so a per-tile choice moves bits.
+    key = _rng.STREAM_LASTEXIT, stream
+    for paths, n0, draws in _walks(dist, reps, horizon, cfg.seed, *key, rows=_rng.BLOCK):
+        run, last, l1_run = running[paths], values[paths], l1[paths]
+        size, steps = draws.shape
+        # Per-segment exclusion: within a segment starting at m0,
+        # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that stays
+        # below a*m0 the segment cannot contain a deviation and only the
+        # carry is needed.
+        for j0 in range(0, steps, _SEG_STEPS):
+            j1 = min(j0 + _SEG_STEPS, steps)
+            seg = draws[:, j0:j1]
+            m0, m_hi = n0 + j0, n0 + j1 - 1
+            w = j1 - j0
+            for r0 in range(0, size, _TILE):
+                rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
+                np.abs(seg[rows], out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1_run[rows])
+            if float((np.abs(run) + l1_run).max()) + abs(x) * m_hi < a * m0:
+                run += seg.sum(axis=1, dtype=np.float64)
+                continue
+            ns = np.arange(m0, m_hi + 1, dtype=float)
+            shift, bound = x * ns, a * ns
+            for r0 in range(0, size, _TILE):
+                rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
+                cums = np.cumsum(seg[rows], axis=1, dtype=np.float64, out=cums_buf[:k, :w])
+                cums += run[rows, None]
+                run[rows] = cums[:, -1]
+                # run holds the carry, so cums is free to overwrite
+                if x != 0.0:
+                    cums -= shift
+                dev = np.greater_equal(np.abs(cums, out=cums), bound, out=dev_buf[:k, :w])
+                hit = dev.any(axis=1)
+                if hit.any():
+                    lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
+                    np.copyto(last[rows], m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
     return LastExitBatch(values, censored)
 
@@ -286,30 +295,29 @@ def deviation_profile(
     endpoints = _series_endpoints(n_max)
     small = np.zeros((reps, head))
     epvals = np.zeros((reps, len(endpoints)))
+    running = np.zeros(reps)
     # Walk to n_max rounded up to whole chunks and read only the steps up to
     # n_max: the per-path layout, and hence every recorded value, is then a
     # prefix of the same run at a larger n_max.
     n_walk = -(-n_max // _rng.CHUNK) * _rng.CHUNK
-    draw = _f32(dist)
-    for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SERIES, stream):
-        running = np.zeros(size)
-        for n0, draws in _rng.walk(draw, size, gen, n_walk):
-            steps = min(draws.shape[1], n_max - n0 + 1)
-            draws = draws[:, :steps]
-            if n0 == 1:
-                rows = small[start : start + size]
-                np.cumsum(draws[:, :head], axis=1, dtype=np.float64, out=rows)
-                rows /= np.arange(1, head + 1, dtype=float)
-            # Only checkpoint prefixes are needed; walk segment sums instead
-            # of materializing the full cumsum.
-            pos = 0
-            for k in np.nonzero((endpoints >= n0) & (endpoints < n0 + steps))[0]:
-                j = int(endpoints[k]) - n0 + 1
-                running = running + draws[:, pos:j].sum(axis=1, dtype=np.float64)
-                epvals[start : start + size, k] = running / float(endpoints[k])
-                pos = j
-            if pos < steps:
-                running = running + draws[:, pos:].sum(axis=1, dtype=np.float64)
+    for paths, n0, draws in _walks(dist, reps, n_walk, seed, _rng.STREAM_SERIES, stream):
+        steps = min(draws.shape[1], n_max - n0 + 1)
+        draws = draws[:, :steps]
+        if n0 == 1:
+            rows = small[paths]
+            np.cumsum(draws[:, :head], axis=1, dtype=np.float64, out=rows)
+            rows /= np.arange(1, head + 1, dtype=float)
+        # Only checkpoint prefixes are needed; walk segment sums instead of
+        # materializing the full cumsum.
+        run = running[paths]
+        pos = 0
+        for k in np.nonzero((endpoints >= n0) & (endpoints < n0 + steps))[0]:
+            j = int(endpoints[k]) - n0 + 1
+            run += draws[:, pos:j].sum(axis=1, dtype=np.float64)
+            epvals[paths, k] = run / float(endpoints[k])
+            pos = j
+        if pos < steps:
+            run += draws[:, pos:].sum(axis=1, dtype=np.float64)
     return DeviationProfile(
         dist_spec=dist.spec_string(),
         endpoints=endpoints,
@@ -480,14 +488,10 @@ def tail_prob_mean(
         return TailProbEstimate(1.0, 0.0, True)
     if dist.lattice is not None and n <= MAX_STEPS:
         return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
-    count = 0
-    draw = _f32(dist)
-    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_TAILPROB):
-        total = np.zeros(size)
-        for _n0, draws in _rng.walk(draw, size, gen, n):
-            total += draws.sum(axis=1, dtype=np.float64)
-        count += int(np.count_nonzero(np.abs(total) / n >= a))
-    p = count / reps
+    total = np.zeros(reps)
+    for paths, _n0, draws in _walks(dist, reps, n, seed, _rng.STREAM_TAILPROB):
+        total[paths] += draws.sum(axis=1, dtype=np.float64)
+    p = int(np.count_nonzero(np.abs(total) / n >= a)) / reps
     return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
 
 
@@ -519,20 +523,15 @@ def levy_maximal_check(
     if dist.lattice is not None and m <= MAX_STEPS:
         return LevyReport(*levy_sides(dist, m, t), 0.0, 0.0, True)
 
-    hit_max = 0
-    hit_end = 0
-    draw = _f32(dist)
-    for _start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_LEVY):
-        running = np.zeros(size)
-        runmax = np.zeros(size)
-        for _n0, draws in _rng.walk(draw, size, gen, m):
-            cums = np.cumsum(draws, axis=1, dtype=np.float64)
-            cums += running[:, None]
-            runmax = np.maximum(runmax, np.abs(cums).max(axis=1))
-            running = cums[:, -1].copy()
-        hit_max += int(np.count_nonzero(runmax >= t))
-        hit_end += int(np.count_nonzero(np.abs(running) >= t))
-    p_max, p_end = hit_max / reps, hit_end / reps
+    running, runmax = np.zeros(reps), np.zeros(reps)
+    for paths, _n0, draws in _walks(dist, reps, m, seed, _rng.STREAM_LEVY):
+        cums = np.cumsum(draws, axis=1, dtype=np.float64)
+        cums += running[paths, None]
+        running[paths] = cums[:, -1]
+        # running holds the carry, so cums is free to overwrite
+        np.maximum(runmax[paths], np.abs(cums, out=cums).max(axis=1), out=runmax[paths])
+    p_max = int(np.count_nonzero(runmax >= t)) / reps
+    p_end = int(np.count_nonzero(np.abs(running) >= t)) / reps
     se_max = math.sqrt(p_max * (1.0 - p_max) / reps)
     se_end = math.sqrt(p_end * (1.0 - p_end) / reps)
     return LevyReport(p_max, 2.0 * p_end, se_max, 2.0 * se_end, False)

@@ -151,16 +151,6 @@ class HypothesisSet:
             return math.inf
         return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
-    @cached_property
-    def pairwise_kl(self) -> np.ndarray:
-        m = self.m
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    out[i, j] = self.kl(i, j)
-        return out
-
     def kl_adjusted(self, i: int, j: int) -> float:
         """Drift of log R^j under P_i: E_i[log p(Y) - log p_j(Y)].
 

@@ -17,7 +17,6 @@ from bklab.errors import (
 )
 from bklab.functions import (
     GridSpec,
-    audit_function,
     check_tail_condition,
     counterexample_sequence,
     custom,
@@ -26,7 +25,6 @@ from bklab.functions import (
     exponential,
     h_majorant,
     h_scaling_constant,
-    is_moderate_numeric,
     parse_function_spec,
     power,
     powlog,
@@ -74,14 +72,6 @@ def test_builtin_families_nondecreasing(r, s):
         assert np.all(np.diff(vals) >= -1e-12 * vals[:-1])
 
 
-def test_audit_function_flags():
-    rep = audit_function(power(2))
-    assert rep["positive"] and rep["nondecreasing"] and rep["diverges"]
-    assert rep["doubling_ok"] is True
-    rep0 = audit_function(power(0))
-    assert rep0["positive"] and not rep0["diverges"]
-
-
 def test_doubling_power():
     rep = doubling_ratio_sup(power(2))
     assert rep.analytic_sup == 4.0
@@ -106,15 +96,9 @@ def test_doubling_exponential_detects_growth():
     assert rep.verdict == "unbounded-growth-detected"
 
 
-def test_is_moderate_verdicts():
-    assert is_moderate_numeric(power(3)) == "moderate-consistent"
-    assert is_moderate_numeric(exponential(0.5)) == "non-moderate-evidence"
-    assert is_moderate_numeric(powlog(1.0, 1.0)) == "moderate-consistent"
-
-
-def test_is_moderate_threshold_validation():
+def test_doubling_threshold_validation():
     with pytest.raises(DomainError):
-        is_moderate_numeric(power(1), growth_threshold=1.0)
+        doubling_ratio_sup(power(1), growth_threshold=1.0)
 
 
 def test_h_majorant_zeta2_oracles():

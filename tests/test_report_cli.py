@@ -404,6 +404,25 @@ def test_cli_malformed_json_config_exits_2(tmp_path, args):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "last-exit", "dist": 5, "g": "power:r=1", "a": 0.5, "horizon": 64, "reps": 10},
+        {"kind": "last-exit", "dist": "rademacher", "g": ["power"], "a": 0.5, "horizon": 64,
+         "reps": 10},
+        {"kind": "theorem1-matrix", "dists": [5], "g": "power:r=1", "reps": 10, "horizon": 64,
+         "n_max": 64, "reps_per_block": 10},
+    ],
+    ids=["dist", "g", "dists"],
+)
+def test_run_config_non_string_spec_exits_2(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and "spec must be a string" in res.output
+
+
+@pytest.mark.parametrize(
     "kind,args",
     [
         ("moderate-audit", ["moderate-audit", "--g", "power:r=2"]),

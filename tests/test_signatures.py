@@ -52,7 +52,6 @@ SIGNATURES = {
     "exponential": ("b",),
     "h_majorant": ("g", "p", "n"),
     "h_scaling_constant": ("g", "p", "grid"),
-    "is_moderate_numeric": ("g", "grid", "growth_threshold"),
     "last_exit_samples": ("dist", "a", "cfg", "stream"),
     "last_exit_time": ("path", "a", "x"),
     "levy_maximal_check": ("dist", "m", "t", "reps", "seed"),

@@ -13,7 +13,6 @@ from bklab.functions import (
     GridSpec,
     doubling_ratio_sup,
     exponential,
-    is_moderate_numeric,
     power,
 )
 from bklab.lastexit import estimate_series
@@ -88,5 +87,3 @@ def test_estimators_return_table_verdicts():
     grid = GridSpec(1e-2, 1e2, 41)
     assert doubling_ratio_sup(exponential(1.0), grid).verdict is report.DOUBLING[DIVERGENT]
     assert doubling_ratio_sup(power(2), grid).verdict is report.DOUBLING[FINITE]
-    assert is_moderate_numeric(exponential(1.0), grid) is report.MODERATION[DIVERGENT]
-    assert is_moderate_numeric(power(2), grid) is report.MODERATION[FINITE]
