@@ -41,7 +41,6 @@ from .functions import (
     GridSpec,
     ModerateFunction,
     counterexample_sequence,
-    custom,
     doubling_ratio_sup,
     doubling_witness_exp,
     exponential,
@@ -68,7 +67,6 @@ from .lastexit import (
 from .sprt import (
     DecisionRecord,
     HypothesisSet,
-    LevelVector,
     estimate_G_moment,
     estimate_errors,
     optimality_sweep,

@@ -2,8 +2,9 @@
 
 Each experiment kind is one entry of ``_KINDS``: a handler and its spec
 fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
-``run --config file.json``) against those fields, and every subcommand is
-built from them, one option per field, so both share names and defaults.
+``run --config file.json``) against those fields, refusing any other key, and
+every subcommand is built from them, one option per field, so both share
+names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
 ``_theorem1_rows`` is the one place that plans and pools a matrix's
 simulations (per law, the deviation profile if the series reads one and
@@ -77,8 +78,13 @@ class _Kind(NamedTuple):
 
 
 def _parse(fields, spec: dict) -> SimpleNamespace:
-    """The converted values of ``fields`` in ``spec``; a missing required field
-    or a value its converter rejects is a configuration error naming it."""
+    """The converted values of ``fields`` in ``spec``; a key that is no field,
+    a missing required field or a value its converter rejects is a
+    configuration error naming it."""
+    keys = {f.key for f in fields}
+    for key in spec:
+        if key not in keys:
+            raise ConfigurationError(f"experiment spec has no field {key!r}")
     values = {}
     for key, convert, default, _ in fields:
         value = spec.get(key)
@@ -149,27 +155,31 @@ def _threads(value) -> int:
     return value
 
 
-def _sprt_config(*extra: _Field) -> Callable:
-    """Converter of an SPRT ``config`` object: its hypothesis fields and
-    ``extra``, plus the ``HypothesisSet`` they define as ``hyp``."""
-    fields = (
-        _Field("alphabet", _floats),
-        _Field("hypotheses", lambda rows: tuple(_floats(r) for r in rows)),
-        _Field("reference", _floats, None),
-        _Field("strict", _json_bool, True),
-    ) + extra
-
-    def convert(conf) -> SimpleNamespace:
-        v = _parse(fields, dict(conf))
-        v.hyp = HypothesisSet(alphabet=v.alphabet, masses=v.hypotheses,
-                              reference=v.reference, strict=v.strict)
-        return v
-
-    return convert
-
-
 _COMMON = (_Field("seed", _int, 0), _Field("threads", _threads, 1))
 _SIMULATE = _Field("simulate", lambda b: _parse((_Field("true_index", _int),), dict(b)), None)
+# One table for the config of ``sprt run`` and ``sprt sweep``, so one file
+# serves both; only ``sprt run`` reads levels, horizon, stream and simulate.
+_SPRT_CONFIG = (
+    _Field("alphabet", _floats),
+    _Field("hypotheses", lambda rows: tuple(_floats(r) for r in rows)),
+    _Field("reference", _floats, None),
+    _Field("strict", _json_bool, True),
+    _Field("levels", _floats, None),
+    _Field("horizon", _int, 4096),
+    _Field("stream", _floats, None),
+    _SIMULATE,
+)
+
+
+def _sprt_config(conf) -> SimpleNamespace:
+    """An SPRT ``config`` object read against ``_SPRT_CONFIG``, plus the
+    ``HypothesisSet`` it defines as ``hyp``."""
+    v = _parse(_SPRT_CONFIG, dict(conf))
+    v.hyp = HypothesisSet(alphabet=v.alphabet, masses=v.hypotheses,
+                          reference=v.reference, strict=v.strict)
+    return v
+
+
 _DIST = _Field("dist", parse_dist_spec, _REQUIRED, 'Law spec, e.g. "pareto2:beta=1.5".')
 _G = _Field("g", parse_function_spec, _REQUIRED, 'Function spec, e.g. "power:r=2" or "exp:b=0.5".')
 _A = _Field("a", _float, _REQUIRED, "Deviation level a.")
@@ -311,6 +321,8 @@ def _exp_sprt_run(v):
 
     A spec's own ``horizon``, ``stream`` or ``simulate`` overrides the config's."""
     conf = v.config
+    if conf.levels is None:
+        raise ConfigurationError("experiment spec is missing the field 'levels'")
     horizon = conf.horizon if v.horizon is None else v.horizon
     stream = conf.stream if v.stream is None else v.stream
     if stream is None:
@@ -476,18 +488,14 @@ _KINDS = {
         _Field("prefix", _int, 100_000, "Stored atoms of the law."),
     ), csv=True),
     "sprt-run": _Kind(_exp_sprt_run, (
-        _Field("config", _sprt_config(
-            _Field("levels", _floats),
-            _Field("horizon", _int, 4096),
-            _Field("stream", _floats, None),
-            _SIMULATE,
-        ), _REQUIRED, _CONFIG_HELP + ", levels, horizon, stream or simulate."),
+        _Field("config", _sprt_config, _REQUIRED,
+               _CONFIG_HELP + ", levels, horizon, stream or simulate."),
         _Field("horizon", _int, None, "Step cap (default: the config's horizon)."),
         _Field("stream", _floats, None),
         _SIMULATE,
     )),
     "sprt-sweep": _Kind(_exp_sprt_sweep, (
-        _Field("config", _sprt_config(), _REQUIRED, _CONFIG_HELP + "."),
+        _Field("config", _sprt_config, _REQUIRED, _CONFIG_HELP + "."),
         _Field("errors", _float_list, _REQUIRED, 'Comma list of target errors, e.g. "1e-1,1e-2".'),
         _G._replace(default="power:r=1"),
         _Field("true_index", _int, 0, "Index of the true hypothesis."),
@@ -515,7 +523,8 @@ def run_experiment(spec: dict):
     kind = _kind_of(spec)
     if kind is None:
         raise ConfigurationError(f"unknown experiment kind {spec.get('kind')!r}")
-    return kind.handler(_parse(_COMMON + kind.fields, spec))
+    fields = {key: value for key, value in spec.items() if key != "kind"}
+    return kind.handler(_parse(_COMMON + kind.fields, fields))
 
 
 # ---------------------------------------------------------------------------

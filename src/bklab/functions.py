@@ -4,7 +4,7 @@ A positive nondecreasing unbounded function G is *moderate* when its
 doubling ratio G(2t)/G(t) is bounded.  Power and power-log families are
 moderate, exponentials are not.  Moderation cannot be decided from finitely
 many evaluations, so every numeric verdict here is evidence-grade; the
-analytic flags carried by the built-in families are authoritative.
+doubling constant carried by a built-in family is authoritative.
 
 The built-in power family is (1+t)^r rather than t^r so that G(0) = 1 > 0:
 several downstream bounds evaluate G at zero and need strict positivity.
@@ -13,7 +13,7 @@ several downstream bounds evaluate G at zero and need strict positivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,19 +67,16 @@ class GridSpec:
 class ModerateFunction:
     """An evaluable growth function with its analytic metadata.
 
-    ``claimed_doubling`` is a constant c with G(2t) <= c*G(t) for all t >= 0,
-    when one is known; ``claimed_moderate`` and ``unbounded`` are analytic
-    flags for the family.  ``_log_fn`` evaluates log G without overflow and
-    is what all moderation audits use internally.
+    ``_fn`` evaluates G and ``_log_fn`` evaluates log G without overflow,
+    which is what all moderation audits use.  ``claimed_doubling`` is a
+    constant c with G(2t) <= c*G(t) for all t >= 0, when one is known.
     """
 
     name: str
-    params: dict = field(default_factory=dict)
-    _fn: Callable = None
-    _log_fn: Callable = None
+    params: dict
+    _fn: Callable
+    _log_fn: Callable
     claimed_doubling: float | None = None
-    claimed_moderate: bool = False
-    unbounded: bool = True
 
     def eval(self, t):
         """G(t) for scalar or array t >= 0; exact for the built-in families."""
@@ -98,11 +95,7 @@ class ModerateFunction:
         arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise DomainError(f"{self.name}: argument outside [0, inf)")
-        if self._log_fn is not None:
-            out = self._log_fn(arr)
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.log(self._fn(arr))
+        out = self._log_fn(arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -129,8 +122,6 @@ def power(r: float) -> ModerateFunction:
         _fn=lambda t: (1.0 + t) ** r,
         _log_fn=lambda t: r * np.log1p(t),
         claimed_doubling=2.0**r,
-        claimed_moderate=True,
-        unbounded=r > 0,
     )
 
 
@@ -145,8 +136,6 @@ def powlog(r: float, s: float) -> ModerateFunction:
         _log_fn=lambda t: r * np.log1p(t) + s * np.log(np.log(math.e + t)),
         # log(e+2t) <= log 2 + log(e+t) and log(e+t) >= 1 give the log factor.
         claimed_doubling=2.0**r * (1.0 + math.log(2.0)) ** s,
-        claimed_moderate=True,
-        unbounded=(r > 0 or s > 0),
     )
 
 
@@ -159,30 +148,6 @@ def exponential(b: float) -> ModerateFunction:
         params={"b": float(b)},
         _fn=lambda t: np.exp(b * t),
         _log_fn=lambda t: b * t,
-        claimed_doubling=None,
-        claimed_moderate=False,
-        unbounded=True,
-    )
-
-
-def custom(
-    name: str,
-    fn: Callable,
-    *,
-    log_fn: Callable | None = None,
-    claimed_doubling: float | None = None,
-    claimed_moderate: bool = False,
-    unbounded: bool = True,
-) -> ModerateFunction:
-    """Wrap a user-supplied nondecreasing function; flags are the caller's claim."""
-    return ModerateFunction(
-        name=name,
-        params={},
-        _fn=fn,
-        _log_fn=log_fn,
-        claimed_doubling=claimed_doubling,
-        claimed_moderate=claimed_moderate,
-        unbounded=unbounded,
     )
 
 

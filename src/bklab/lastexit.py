@@ -86,7 +86,6 @@ class EGEstimate:
     se: float
     censor_rate: float
     horizon_warning: bool
-    replicates: int
 
 
 def check_level(a: float) -> None:
@@ -242,7 +241,7 @@ def estimate_EG_lastexit(
     mean = math.fsum(vals) / reps
     var = math.fsum((v - mean) ** 2 for v in vals) / max(reps - 1, 1)
     se = math.sqrt(var / reps)
-    return EGEstimate(mean, se, batch.censor_rate, batch.horizon_warning, reps)
+    return EGEstimate(mean, se, batch.censor_rate, batch.horizon_warning)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,6 @@ class DeviationProfile:
     endpoint_values: np.ndarray  # (reps, len(endpoints))
     n_max: int
     reps: int
-    seed: int
 
 
 def _series_endpoints(n_max: int) -> np.ndarray:
@@ -325,7 +323,6 @@ def deviation_profile(
         endpoint_values=epvals,
         n_max=n_max,
         reps=reps,
-        seed=seed,
     )
 
 
@@ -349,7 +346,6 @@ class SeriesEstimate:
     a: float
     n_max: int
     head: float
-    head_se: float
     head_exact: bool
     blocks: tuple
     partial_sum: float
@@ -411,12 +407,10 @@ def estimate_series(
     if head_exact:
         head_terms = [w * p for w, p in zip(w_small, dev_probs(dist, head_n.size, a))]
         head = math.fsum(head_terms)
-        head_se = 0.0
     else:
         ind_small = np.abs(profile.small_values) >= a
         per_path_small = ind_small @ w_small
         head = float(np.mean(per_path_small))
-        head_se = float(np.std(per_path_small)) / math.sqrt(profile.reps)
         head_terms = list(w_small * ind_small.mean(axis=0))
 
     blocks: list[SeriesBlock] = []
@@ -455,7 +449,6 @@ def estimate_series(
         a=a,
         n_max=n_max,
         head=head,
-        head_se=head_se,
         head_exact=head_exact,
         blocks=tuple(blocks),
         partial_sum=partial,
@@ -524,8 +517,13 @@ def levy_maximal_check(
         return LevyReport(*levy_sides(dist, m, t), 0.0, 0.0, True)
 
     running, runmax = np.zeros(reps), np.zeros(reps)
+    # cumsum of a float32 tile into float64 would first cast the whole tile;
+    # widening it into one reused buffer gives the same bits.
+    buf = np.empty((min(reps, _TILE), min(m, _rng.CHUNK)))
     for paths, _n0, draws in _walks(dist, reps, m, seed, _rng.STREAM_LEVY):
-        cums = np.cumsum(draws, axis=1, dtype=np.float64)
+        cums = buf[: draws.shape[0], : draws.shape[1]]
+        np.copyto(cums, draws)
+        np.cumsum(cums, axis=1, out=cums)
         cums += running[paths, None]
         running[paths] = cums[:, -1]
         # running holds the carry, so cums is free to overwrite

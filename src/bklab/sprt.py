@@ -36,7 +36,6 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigurationError, DataError
 from .functions import ModerateFunction
-from .lastexit import CENSOR_BOUND
 
 _HORIZON_FACTOR = 6.0  # a sweep row runs for 6 n* + 64 steps,
 _MIN_HORIZON = 256  # but at least 256
@@ -143,14 +142,6 @@ class HypothesisSet:
             raise DataError(f"observation {y!r} lies outside every candidate support")
         return k
 
-    def kl(self, i: int, j: int) -> float:
-        """KL(P_i || P_j), exact on the alphabet."""
-        p, q = self._masses[i], self._masses[j]
-        mask = p > 0
-        if np.any(q[mask] <= 0):
-            return math.inf
-        return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
     def kl_adjusted(self, i: int, j: int) -> float:
         """Drift of log R^j under P_i: E_i[log p(Y) - log p_j(Y)].
 
@@ -179,30 +170,15 @@ class HypothesisSet:
         return idx
 
 
-@dataclass(frozen=True)
-class LevelVector:
-    """Per-hypothesis rejection levels, each > 1; +inf means never reject."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if any(not v > 1.0 for v in self.values):
-            raise ConfigurationError("every level must exceed 1")
-
-    def log(self) -> np.ndarray:
-        return np.log(np.asarray(self.values, dtype=float))
-
-
-def as_levels(levels, m: int) -> LevelVector:
-    if isinstance(levels, LevelVector):
-        lv = levels
-    elif np.isscalar(levels):
-        lv = LevelVector(tuple([float(levels)] * m))
-    else:
-        lv = LevelVector(tuple(float(v) for v in levels))
-    if len(lv.values) != m:
-        raise ConfigurationError(f"expected {m} levels, got {len(lv.values)}")
-    return lv
+def _log_levels(levels, m: int) -> np.ndarray:
+    """log c_i of the ``m`` per-hypothesis levels, each > 1 (+inf never
+    rejects); a scalar level serves every hypothesis."""
+    values = [float(levels)] * m if np.isscalar(levels) else [float(v) for v in levels]
+    if any(not v > 1.0 for v in values):
+        raise ConfigurationError("every level must exceed 1")
+    if len(values) != m:
+        raise ConfigurationError(f"expected {m} levels, got {len(values)}")
+    return np.log(np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -215,12 +191,6 @@ class DecisionRecord:
     decision: int | None
     rho: tuple
     log_ratios_at_tau: tuple
-
-    def check_coherence(self) -> bool:
-        if self.censored or self.decision is None:
-            return self.censored
-        keys = [math.inf if r is None else r for r in self.rho]
-        return keys[self.decision] == max(keys)
 
 
 def _passages(inc, logc, steps, runs: int):
@@ -260,7 +230,7 @@ def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord
     the horizon or the stream ends, which returns a censored record with the
     partial rho.  The log ratios are those at the last observation read."""
     _rng.check_size("horizon", horizon)
-    logc = as_levels(levels, hyp.m).log()
+    logc = _log_levels(levels, hyp.m)
     steps = ([hyp.index_of(y)] for y in islice(stream, horizon))
     rho, log_r = _passages(hyp._increments, logc, steps, 1)
     (tau,), (decision,) = _decide(rho)
@@ -294,7 +264,7 @@ def simulate_runs(
     hyp.check_index(true_index)
     _rng.check_size("the replicate count", reps)
     _rng.check_size("horizon", horizon)
-    logc = as_levels(levels, hyp.m).log()
+    logc = _log_levels(levels, hyp.m)
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
@@ -338,7 +308,6 @@ class GMomentEstimate:
     mean: float
     se: float
     censor_rate: float
-    degraded_confidence: bool
 
 
 def estimate_G_moment(
@@ -350,17 +319,17 @@ def estimate_G_moment(
     horizon: int,
     seed: int = 0,
 ) -> GMomentEstimate:
-    """Monte Carlo E_true[G(tau)] over non-censored runs; the estimate is
-    flagged when the censor rate exceeds ``CENSOR_BOUND``."""
+    """Monte Carlo E_true[G(tau)] over non-censored runs, with its standard
+    error and the censor rate; NaN when every run censors."""
     runs = simulate_runs(hyp, levels, true_index, reps, horizon, seed)
     alive = ~runs.censored
     censor_rate = 1.0 - float(alive.mean())
     if not alive.any():
-        return GMomentEstimate(math.nan, math.nan, 1.0, True)
+        return GMomentEstimate(math.nan, math.nan, 1.0)
     vals = g.eval(runs.tau[alive].astype(float))
     mean = math.fsum(vals) / len(vals)
     se = float(np.std(vals)) / math.sqrt(len(vals))
-    return GMomentEstimate(mean, se, censor_rate, censor_rate > CENSOR_BOUND)
+    return GMomentEstimate(mean, se, censor_rate)
 
 
 def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np.ndarray:

@@ -17,9 +17,9 @@ from bklab.errors import (
 )
 from bklab.functions import (
     GridSpec,
+    ModerateFunction,
     check_tail_condition,
     counterexample_sequence,
-    custom,
     doubling_ratio_sup,
     doubling_witness_exp,
     exponential,
@@ -34,7 +34,7 @@ PI2_6 = math.pi**2 / 6.0
 
 
 def identity():
-    return custom("identity", lambda t: t, log_fn=np.log, unbounded=True)
+    return ModerateFunction("identity", {}, lambda t: t, np.log)
 
 
 def test_eval_power_family():
@@ -267,7 +267,7 @@ def test_doubling_ratio_sup_evaluates_the_grid_once():
         calls.append(t.size)
         return np.log1p(t)
 
-    g = custom("counted", lambda t: 1.0 + t, log_fn=log_fn)
+    g = ModerateFunction("counted", {}, lambda t: 1.0 + t, log_fn)
     doubling_ratio_sup(g, GridSpec(1e-2, 1e4, 61))
     assert calls == [61, 61]
 

@@ -317,8 +317,9 @@ def test_simulations_hold_one_step_chunk(dist):
     assert peak < 1.10 * 4096 * 2048 * 4
     peak = _peak_bytes(lambda: deviation_profile(dist, 4096, 2000, 1))
     assert peak < 1.25 * 2000 * 2048 * 4
+    # the Levy walk widens each float32 tile into one reused float64 buffer
     peak = _peak_bytes(lambda: levy_maximal_check(dist, 2048, 60.0, 4096, 1))
-    assert peak < 1.25 * 4096 * 2048 * 4
+    assert peak < 0.5 * 4096 * 2048 * 4
     peak = _peak_bytes(lambda: tail_prob_mean(dist, 2048, 0.05, 4096, 1))
     assert peak < 1.25 * 4096 * 2048 * 4
 

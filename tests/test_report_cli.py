@@ -985,3 +985,43 @@ def test_cli_malformed_discrete_spec_exits_2(spec, message):
                                     "--horizon", "16", "--reps", "10"])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("kind", list(cli._KINDS))
+def test_every_kind_refuses_an_unknown_field(kind):
+    with pytest.raises(ConfigurationError, match="experiment spec has no field 'no_such_field'"):
+        run_experiment({"kind": kind, "no_such_field": 1})
+
+
+@pytest.mark.parametrize(
+    "args,spec,field",
+    [
+        (["run", "--config", "{path}"],
+         {"kind": "moderate-audit", "g": "power:r=1", "pointz": 40}, "pointz"),
+        (["run", "--config", "{path}"],
+         {"kind": "series", "dist": "rademacher", "g": "power:r=1", "a": 1.0, "nmax": 64,
+          "reps_per_block": 10}, "nmax"),
+        (["sprt", "run", "--config", "{path}"],
+         dict(_BERN_CONF, stream=[1] * 20, refrence=[0.1, 0.9]), "refrence"),
+        (["sprt", "sweep", "--config", "{path}", "--errors", "1e-1", "--reps", "10"],
+         dict(_BERN_CONF, refrence=[0.1, 0.9]), "refrence"),
+        (["sprt", "run", "--config", "{path}"],
+         dict(_BERN_CONF, simulate={"true_idx": 1}), "true_idx"),
+    ],
+    ids=["moderate-audit", "series", "sprt-run-config", "sprt-sweep-config", "simulate"],
+)
+def test_unknown_spec_field_exits_2(tmp_path, args, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = CliRunner().invoke(main, [a.format(path=path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and f"has no field {field!r}" in res.output
+
+
+def test_sprt_run_config_without_levels_exits_2(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"alphabet": [0, 1], "hypotheses": [[0.5, 0.5], [0.25, 0.75]],
+                                "stream": [1] * 20}))
+    res = CliRunner().invoke(main, ["sprt", "run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "experiment spec is missing the field 'levels'" in res.output

@@ -14,22 +14,19 @@ SIGNATURES = {
     "CounterexampleLaw": ("g", "ts", "weights", "c", "tail_mass_bound"),
     "DecisionRecord": ("tau", "censored", "decision", "rho", "log_ratios_at_tau"),
     "DeviationProfile": (
-        "dist_spec", "endpoints", "small_values", "endpoint_values", "n_max", "reps", "seed",
+        "dist_spec", "endpoints", "small_values", "endpoint_values", "n_max", "reps",
     ),
     "Discrete": ("values", "probs", "name"),
     "Distribution": (),
-    "EGEstimate": ("mean", "se", "censor_rate", "horizon_warning", "replicates"),
+    "EGEstimate": ("mean", "se", "censor_rate", "horizon_warning"),
     "Gaussian": ("sigma",),
     "GridSpec": ("t_min", "t_max", "points"),
     "HypothesisSet": ("alphabet", "masses", "reference", "strict"),
     "LastExitSample": ("value", "censored"),
-    "LevelVector": ("values",),
-    "ModerateFunction": (
-        "name", "params", "_fn", "_log_fn", "claimed_doubling", "claimed_moderate", "unbounded",
-    ),
+    "ModerateFunction": ("name", "params", "_fn", "_log_fn", "claimed_doubling"),
     "PathConfig": ("horizon", "replicates", "seed", "center"),
     "SeriesEstimate": (
-        "a", "n_max", "head", "head_se", "head_exact", "blocks", "partial_sum", "se", "verdict",
+        "a", "n_max", "head", "head_exact", "blocks", "partial_sum", "se", "verdict",
     ),
     "Symmetrized": ("inner",),
     "TriangularSymmetric": ("half_width",),
@@ -40,7 +37,6 @@ SIGNATURES = {
     "count_compositions": ("p", "q"),
     "counterexample_dist": ("g", "prefix"),
     "counterexample_sequence": ("g", "count", "search_limit"),
-    "custom": ("name", "fn", "log_fn", "claimed_doubling", "claimed_moderate", "unbounded"),
     "deviation_profile": ("dist", "n_max", "reps", "seed", "stream"),
     "doubling_ratio_sup": ("g", "grid", "growth_threshold"),
     "doubling_witness_exp": ("b", "count"),

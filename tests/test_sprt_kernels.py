@@ -29,8 +29,8 @@ from bklab.errors import DataError
 from bklab.sprt import (
     DecisionRecord,
     HypothesisSet,
+    _log_levels,
     _peaks,
-    as_levels,
     rejection_rate,
     run_test,
     simulate_runs,
@@ -135,7 +135,7 @@ def ref_log_ratio_update(state, y, hyp):
 
 
 def ref_run_test(hyp, levels, stream, horizon):
-    logc = as_levels(levels, hyp.m).log()
+    logc = _log_levels(levels, hyp.m)
     state = np.zeros(hyp.m)
     rho = [None] * hyp.m
     n = 0
@@ -153,7 +153,7 @@ def ref_run_test(hyp, levels, stream, horizon):
 
 
 def ref_simulate_runs(hyp, levels, true_index, reps, horizon, seed):
-    logc = as_levels(levels, hyp.m).log()
+    logc = _log_levels(levels, hyp.m)
     m, inc = hyp.m, hyp._increments
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
     tau = np.full(reps, -1, dtype=np.int64)
