@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .distributions import (
     CounterexampleDist,
-    CounterexampleLaw,
     Discrete,
     Distribution,
     Gaussian,

@@ -30,7 +30,7 @@ from .distributions import (
     symmetrize,
     truncation_threshold,
 )
-from .errors import DomainError, PreconditionError
+from .errors import ConditionViolationError, DomainError, PreconditionError
 from .functions import P_MAX, GridSpec, ModerateFunction, check_tail_condition, h_scaling_constant
 from .lastexit import (
     DeviationProfile,
@@ -128,15 +128,15 @@ def prop1_check(
 
 def default_p(g: ModerateFunction) -> int:
     """Smallest integer p >= 1 passing the numeric tail-integrability test."""
-    for p in range(1, P_MAX + 1):
-        try:
-            check_tail_condition(g, p)
-            return p
-        except PreconditionError:
-            continue
-    raise PreconditionError(
-        f"no p <= {P_MAX} makes G(t)/t^(p+1) integrable for {g.spec_string()}"
-    )
+    try:
+        check_tail_condition(g, 1)  # a failure reports the smallest p that passes
+        return 1
+    except ConditionViolationError as err:
+        if err.smallest_admissible_p is None:
+            raise PreconditionError(
+                f"no p <= {P_MAX} makes G(t)/t^(p+1) integrable for {g.spec_string()}"
+            ) from None
+        return err.smallest_admissible_p
 
 
 def prop2_check(
@@ -368,7 +368,9 @@ def count_compositions(p: int, q: int) -> int:
 
     q > p returns 0 (empty-set convention).
     """
-    if p < 1 or q < 1 or p > 40 or q > 40:
+    _rng.check_size("p", p)
+    _rng.check_size("q", q)
+    if p > 40 or q > 40:
         raise DomainError("need 1 <= q, p <= 40")
     if q > p:
         return 0

@@ -31,7 +31,6 @@ from . import rng as _rng
 from .bounds import prop1_check, prop2_check, prop3_check, sym_transfer_check
 from .distributions import (
     counterexample_dist,
-    law_rows,
     moment_xg,
     parse_dist_spec,
 )
@@ -290,7 +289,6 @@ def _exp_bounds(v):
 def _exp_counterexample(v):
     """Build the non-moderate counterexample law and test its moment dichotomy."""
     dist = counterexample_dist(v.g, v.prefix)
-    law = dist.law
     own = moment_xg(dist, v.g)
     doubled = moment_xg(dist, v.g, arg_scale=2.0)
     harmonic = float(np.sum(1.0 / np.arange(1, v.prefix + 1)))
@@ -300,17 +298,17 @@ def _exp_counterexample(v):
         "seed": v.seed,
         "G": v.g.spec_string(),
         "prefix": v.prefix,
-        "c": law.c,
-        "stored_mass": law.stored_mass,
-        "tail_mass_bound": law.tail_mass_bound,
+        "c": dist.c,
+        "stored_mass": dist.stored_mass,
+        "tail_mass_bound": dist.tail_mass_bound,
         "moment_value": own.value,
         "moment_verdict": own.verdict,
         "moment_halfwidth": own.halfwidth,
         "doubled_partial_sum": doubled.value,
         "doubled_verdict": doubled.verdict,
-        "harmonic_floor": 2.0 * law.c * harmonic,
+        "harmonic_floor": 2.0 * dist.c * harmonic,
         "csv_header": ["atom", "mass"],
-        "csv_rows": law_rows(law),
+        "csv_rows": np.column_stack((dist.atom_values, dist.atom_masses)),
     }
     ok = own.verdict.kind == FINITE and doubled.verdict.kind == DIVERGENT
     return payload, 0 if ok else 1

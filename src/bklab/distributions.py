@@ -486,33 +486,7 @@ class TriangularSymmetric(Distribution):
         return f"triangular:w={spec_number(self.half_width)}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CounterexampleLaw:
-    """Finite prefix of the atoms {+-t_n} with per-side weights
-    c/(n^2 t_n G(t_n)), plus an analytic bound on the unstored tail mass."""
-
-    g: ModerateFunction
-    ts: np.ndarray
-    weights: np.ndarray
-    c: float
-    tail_mass_bound: float
-
-    @cached_property
-    def stored_mass(self) -> float:
-        return 2.0 * float(np.sum(self.weights))
-
-    @cached_property
-    def atom_values(self) -> np.ndarray:
-        """The 2N stored atoms, ascending: -t_N, ..., -t_1, t_1, ..., t_N."""
-        return np.concatenate((-self.ts[::-1], self.ts))
-
-    @cached_property
-    def atom_masses(self) -> np.ndarray:
-        """The mass of each atom of ``atom_values``, in the same order."""
-        return np.concatenate((self.weights[::-1], self.weights))
-
-
-def normalize_counterexample(g: ModerateFunction, ts, prefix: int) -> CounterexampleLaw:
+def normalize_counterexample(g: ModerateFunction, ts, prefix: int) -> CounterexampleDist:
     """Choose c so that stored mass plus the tail bound equals 1.
 
     The tail of the weight series is controlled by sum_{n>N} n^-2 < 1/N
@@ -520,8 +494,7 @@ def normalize_counterexample(g: ModerateFunction, ts, prefix: int) -> Counterexa
     1e-6 the prefix is too short and a PrecisionError is raised.
     """
     ts = np.asarray(ts, dtype=float)
-    if prefix < 1:
-        raise DomainError("prefix must be >= 1")
+    _rng.check_size("prefix", prefix)
     if prefix > ts.size:
         raise DomainError(f"prefix {prefix} exceeds the {ts.size} supplied points")
     ts = ts[:prefix]
@@ -538,49 +511,64 @@ def normalize_counterexample(g: ModerateFunction, ts, prefix: int) -> Counterexa
         raise PrecisionError(
             f"prefix {prefix} leaves a tail mass bound of {tail_mass_bound:.3g} > 1e-6"
         )
-    return CounterexampleLaw(g=g, ts=ts, weights=c * u, c=c, tail_mass_bound=tail_mass_bound)
+    return CounterexampleDist(g=g, ts=ts, weights=c * u, c=c, tail_mass_bound=tail_mass_bound)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CounterexampleDist(Distribution):
-    """Sampling view of a CounterexampleLaw, conditioned on the stored prefix."""
+    """Finite prefix of the atoms {+-t_n} with per-side weights
+    c/(n^2 t_n G(t_n)), plus an analytic bound on the unstored tail mass;
+    sampling is conditioned on the stored prefix."""
 
-    law: CounterexampleLaw
+    g: ModerateFunction
+    ts: np.ndarray
+    weights: np.ndarray
+    c: float
+    tail_mass_bound: float
     name = "counterexample"
     symmetric = True
 
     @cached_property
-    def _atom_probs(self) -> np.ndarray:
-        return self.law.atom_masses / self.law.stored_mass
+    def stored_mass(self) -> float:
+        return 2.0 * float(np.sum(self.weights))
+
+    @cached_property
+    def atom_values(self) -> np.ndarray:
+        """The 2N stored atoms, ascending: -t_N, ..., -t_1, t_1, ..., t_N."""
+        return np.concatenate((-self.ts[::-1], self.ts))
+
+    @cached_property
+    def atom_masses(self) -> np.ndarray:
+        """The mass of each atom of ``atom_values``, in the same order."""
+        return np.concatenate((self.weights[::-1], self.weights))
 
     @cached_property
     def _cum(self) -> np.ndarray:
-        return np.cumsum(self._atom_probs)
+        return np.cumsum(self.atom_masses / self.stored_mass)
 
     def sample_array(self, gen, n, dtype=np.float64):
         # Always draws 64-bit uniforms: the stored atoms carry masses far
         # below float32 resolution.
         u = gen.random(n)
         idx = np.searchsorted(self._cum, u, side="right")
-        atoms = self.law.atom_values
+        atoms = self.atom_values
         out = atoms[np.minimum(idx, atoms.size - 1)]
         return out.astype(dtype, copy=False)
 
     def tail_exact(self, t):
         # Unstored atoms all lie beyond t_N; their mass is below the recorded bound.
-        stored = 2.0 * float(self.law.weights[self.law.ts >= t].sum())
-        return stored
+        return 2.0 * float(self.weights[self.ts >= t].sum())
 
     def abs_mean_exact(self):
-        return 2.0 * float(np.sum(self.law.weights * self.law.ts))
+        return 2.0 * float(np.sum(self.weights * self.ts))
 
     def abs_trunc_moment_exact(self, t):
         t = np.asarray(t, dtype=float)
-        contrib = 2.0 * self.law.weights * self.law.ts
-        return (contrib[None, :] * (self.law.ts[None, :] >= t[..., None])).sum(axis=-1)
+        contrib = 2.0 * self.weights * self.ts
+        return (contrib[None, :] * (self.ts[None, :] >= t[..., None])).sum(axis=-1)
 
     def spec_string(self):
-        return f"counterexample:G={self.law.g.spec_string()},prefix={self.law.ts.size}"
+        return f"counterexample:G={self.g.spec_string()},prefix={self.ts.size}"
 
 
 def counterexample_dist(g: ModerateFunction, prefix: int) -> CounterexampleDist:
@@ -594,7 +582,7 @@ def counterexample_dist(g: ModerateFunction, prefix: int) -> CounterexampleDist:
         ts = doubling_witness_exp(g.params["b"], prefix)
     else:
         ts = counterexample_sequence(g, prefix, _SEARCH_LIMIT)
-    return CounterexampleDist(normalize_counterexample(g, ts, prefix))
+    return normalize_counterexample(g, ts, prefix)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -696,20 +684,19 @@ def _moment_quadrature(dist, g, arg_scale):
 
 
 def _moment_counterexample(dist, g, arg_scale):
-    law = dist.law
-    n_use = law.ts.size
-    own_g = (g is law.g) or (g.spec_string() == law.g.spec_string())
+    n_use = dist.ts.size
+    own_g = (g is dist.g) or (g.spec_string() == dist.g.spec_string())
     if own_g and arg_scale == 1.0:
         # Terms are exactly 2c/n^2: t_n G(t_n) cancels, so the value of the
         # full infinite series is pinned by the zeta(2) remainder bracket.
         n = np.arange(1, n_use + 1, dtype=float)
         head = math.fsum(1.0 / (n * n))
         rem_lo, rem_hi = 1.0 / (n_use + 1), 1.0 / n_use
-        value = 2.0 * law.c * (head + 0.5 * (rem_lo + rem_hi))
-        halfwidth = law.c * (rem_hi - rem_lo)
+        value = 2.0 * dist.c * (head + 0.5 * (rem_lo + rem_hi))
+        halfwidth = dist.c * (rem_hi - rem_lo)
         return MomentEstimate(value, MOMENT[FINITE], halfwidth=halfwidth, mode="partial_sum")
-    ts = law.ts
-    terms = 2.0 * law.weights * ts * g.eval(arg_scale * ts)
+    ts = dist.ts
+    terms = 2.0 * dist.weights * ts * g.eval(arg_scale * ts)
     if not np.all(np.isfinite(terms)):
         return MomentEstimate(math.inf, MOMENT[DIVERGENT], mode="partial_sum")
     cum = np.cumsum(terms)
@@ -871,12 +858,6 @@ def symmetrization_check(dist: Distribution, *, reps: int = 200_000, seed: int =
             }
         )
     return rows
-
-
-def law_rows(law: CounterexampleLaw) -> np.ndarray:
-    """The (2N, 2) float64 array of (atom, mass) rows of the stored prefix,
-    atoms ascending."""
-    return np.column_stack((law.atom_values, law.atom_masses))
 
 
 _LAWS = {

@@ -4,15 +4,15 @@ maximal-inequality audit, by Monte Carlo.  The series head is the first
 ``HEAD`` = 64 terms; for lattice laws it, and walks of up to
 ``exact.MAX_STEPS`` steps, are enumerated in ``exact``.
 
-Paths follow the stream layout of ``rng.blocks`` and ``rng.tiles``, which
-``_walks`` alone reads: replicate blocks on their own substreams, consumed in
-step chunks with running sums only, so results are identical for a fixed
-seed however workers schedule the blocks.  Draws fill one float32 buffer in
-cache-sized pieces of ``rng.PIECE``.  The last-exit scan holds one step chunk
-of one block, worked in tiles of ``_TILE`` paths by one segment (about 1.5 MB
-of buffers); the profile, tail and Levy walks hold one tile of ``_TILE``
-paths by one chunk.  Beyond that a call holds its per-path state and the
-sampler's temporaries for one piece.
+Every statistic is one loop over ``rng.paths``, which alone turns the
+stream layout into path indices: replicate blocks on their own substreams,
+consumed in step chunks with running sums only, so results are identical
+for a fixed seed however workers schedule the blocks.  Draws fill one
+float32 buffer in cache-sized pieces of ``rng.PIECE``.  The last-exit scan
+holds one step chunk of one block, worked in tiles of ``_TILE`` paths by one
+segment (about 1.5 MB of buffers); the profile, tail and Levy walks hold one
+tile of ``_TILE`` paths by one chunk.  Beyond that a call holds its per-path
+state and the sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -35,7 +35,7 @@ from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
-_TILE = 512  # paths per tile of the last-exit scan
+_TILE = 512  # paths per tile of the last-exit scan and of the other walks
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 HEAD = 64  # series terms n <= HEAD are summed one by one, the rest in dyadic blocks
 
@@ -114,7 +114,7 @@ def needs_profile(dist: Distribution, n_max: int) -> bool:
 
 
 def _f32(dist: Distribution):
-    """The float32 sampler of ``dist`` as an ``rng.tiles`` draw that fills one
+    """The float32 sampler of ``dist`` as an ``rng.paths`` draw that fills one
     buffer, grown on demand and reused by every call, in pieces of
     ``rng.PIECE`` draws.  Generator fills are sequential, so the draws and the
     generator state after a call are those of one ``sample_array(gen, n,
@@ -132,16 +132,6 @@ def _f32(dist: Distribution):
         return out
 
     return draw
-
-
-def _walks(dist: Distribution, reps: int, n_steps: int, seed: int, *key: int, rows: int = _TILE):
-    """``(paths, n0, x)`` per tile of ``rows`` paths, block by block and chunk
-    by chunk: ``x[r, j]`` is step ``n0 + j`` of path ``paths.start + r`` of the
-    ``reps``-path walk on stream ``(seed, *key)``, valid until the next tile."""
-    draw = _f32(dist)
-    for start, size, gen in _rng.blocks(reps, seed, *key):
-        for n0, r0, x in _rng.tiles(draw, size, gen, n_steps, _rng.CHUNK, rows):
-            yield slice(start + r0, start + r0 + x.shape[0]), n0, x
 
 
 def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
@@ -177,10 +167,11 @@ def last_exit_samples(
     abs_buf = np.empty((tile, _SEG_STEPS), dtype=np.float32)
     cums_buf = np.empty((tile, _SEG_STEPS))
     dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
-    # The exclusion bound decides for a whole block at once: the skip sums
-    # pairwise and the scan sequentially, so a per-tile choice moves bits.
+    # The exclusion bound decides for a whole block at once, so each tile is
+    # one block: the skip sums pairwise and the scan sequentially, and a
+    # per-tile choice would move bits.
     key = _rng.STREAM_LASTEXIT, stream
-    for paths, n0, draws in _walks(dist, reps, horizon, cfg.seed, *key, rows=_rng.BLOCK):
+    for paths, n0, draws in _rng.paths(_f32(dist), reps, horizon, cfg.seed, *key, rows=_rng.BLOCK):
         run, last, l1_run = running[paths], values[paths], l1[paths]
         size, steps = draws.shape
         # Per-segment exclusion: within a segment starting at m0,
@@ -298,7 +289,8 @@ def deviation_profile(
     # n_max: the per-path layout, and hence every recorded value, is then a
     # prefix of the same run at a larger n_max.
     n_walk = -(-n_max // _rng.CHUNK) * _rng.CHUNK
-    for paths, n0, draws in _walks(dist, reps, n_walk, seed, _rng.STREAM_SERIES, stream):
+    key = _rng.STREAM_SERIES, stream
+    for paths, n0, draws in _rng.paths(_f32(dist), reps, n_walk, seed, *key, rows=_TILE):
         steps = min(draws.shape[1], n_max - n0 + 1)
         draws = draws[:, :steps]
         if n0 == 1:
@@ -482,7 +474,8 @@ def tail_prob_mean(
     if dist.lattice is not None and n <= MAX_STEPS:
         return TailProbEstimate(exact_dev_prob(dist, n, a), 0.0, True)
     total = np.zeros(reps)
-    for paths, _n0, draws in _walks(dist, reps, n, seed, _rng.STREAM_TAILPROB):
+    walk = _rng.paths(_f32(dist), reps, n, seed, _rng.STREAM_TAILPROB, rows=_TILE)
+    for paths, _n0, draws in walk:
         total[paths] += draws.sum(axis=1, dtype=np.float64)
     p = int(np.count_nonzero(np.abs(total) / n >= a)) / reps
     return TailProbEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
@@ -520,7 +513,7 @@ def levy_maximal_check(
     # cumsum of a float32 tile into float64 would first cast the whole tile;
     # widening it into one reused buffer gives the same bits.
     buf = np.empty((min(reps, _TILE), min(m, _rng.CHUNK)))
-    for paths, _n0, draws in _walks(dist, reps, m, seed, _rng.STREAM_LEVY):
+    for paths, _n0, draws in _rng.paths(_f32(dist), reps, m, seed, _rng.STREAM_LEVY, rows=_TILE):
         cums = buf[: draws.shape[0], : draws.shape[1]]
         np.copyto(cums, draws)
         np.cumsum(cums, axis=1, out=cums)

@@ -8,19 +8,16 @@ and in whatever order the work units are scheduled.
 
 The layout says which draw goes to which (replicate, step).  ``blocks`` cuts
 the replicates, in order, into blocks of ``BLOCK`` = 4096 paths; block ``b``
-draws from ``substream(seed, *key, b)`` alone.  ``walk`` reads a block's
-stream in chunks of ``CHUNK`` = 2048 steps (``sprt.rejection_rate`` uses 1024,
-``sprt.simulate_runs`` one; the ``sprt run`` simulate block walks one path in
-``CHUNK`` steps as the test reads them): each chunk is one ``draw(gen, size *
-steps)`` reshaped row-major to ``(size, steps)``, so path ``i`` takes the
-``i``-th run of ``steps`` consecutive draws, and only the last chunk may be
-shorter.  Any change to the layout changes every simulated report for a
-fixed seed.
-
-Generator fills are sequential, so the rows of a chunk may be drawn as
-consecutive tiles of rows, one ``draw`` each, with the same draws and the
-same generator state after the chunk: ``tiles`` does that, and ``walk`` is
-its one-tile case.  ``PIECE`` = 2^16 draws is the size of one sampler call
+draws from ``substream(seed, *key, b)`` alone.  A block's stream is read in
+chunks of ``CHUNK`` = 2048 steps (the Ville walk uses 1024): each chunk is
+one ``draw(gen, size * steps)`` reshaped row-major to ``(size, steps)``, so
+path ``i`` takes the ``i``-th run of ``steps`` consecutive draws, and only
+the last chunk may be shorter.  Generator fills are sequential, so a chunk
+may be drawn as consecutive tiles of rows, one ``draw`` each, with the same
+draws and generator state.  ``paths`` composes blocks, chunks and tiles, the
+one place that turns them into path indices; ``walk`` reads one generator in
+chunks drawn whole.  Any change to the layout changes every simulated report
+for a fixed seed.  ``PIECE`` = 2^16 draws is the size of one sampler call
 that keeps the sampler's temporaries cache-sized.
 """
 
@@ -89,20 +86,24 @@ def blocks(reps: int, seed: int, *key: int):
     )
 
 
-def tiles(draw, size: int, gen: Generator, n_steps: int, chunk: int, rows: int):
-    """``(n0, r0, x)`` for consecutive step chunks of ``size`` paths, each cut
-    into tiles of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps count
-    from 1) of path ``r0 + r``, drawn as ``draw(gen, k * steps).reshape(k,
-    steps)`` for the tile's ``k`` paths.  A tile may be a view of a buffer
-    that ``draw`` reuses, valid until the next tile is drawn."""
-    for n0 in range(1, n_steps + 1, chunk):
-        steps = min(chunk, n_steps - n0 + 1)
-        for r0 in range(0, size, rows):
-            k = min(rows, size - r0)
-            yield n0, r0, draw(gen, k * steps).reshape(k, steps)
+def paths(draw, reps: int, n_steps: int, seed: int, *key: int, chunk=CHUNK, rows=BLOCK):
+    """``(paths, n0, x)`` for each tile of a ``reps``-path walk of ``n_steps``
+    steps on stream ``(seed, *key)``, block by block, then chunk by chunk,
+    then tile by tile of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps
+    count from 1) of path ``paths.start + r``, drawn as ``draw(gen, k *
+    steps).reshape(k, steps)`` for the tile's ``k`` paths.  A tile may be a
+    view of a buffer that ``draw`` reuses, valid until the next tile is drawn."""
+    for start, size, gen in blocks(reps, seed, *key):
+        for n0 in range(1, n_steps + 1, chunk):
+            steps = min(chunk, n_steps - n0 + 1)
+            for r0 in range(start, start + size, rows):
+                k = min(rows, start + size - r0)
+                yield slice(r0, r0 + k), n0, draw(gen, k * steps).reshape(k, steps)
 
 
 def walk(draw, size: int, gen: Generator, n_steps: int, chunk: int = CHUNK):
-    """``(n0, x)`` for consecutive step chunks of ``size`` paths, each drawn
-    whole: the one-tile case of ``tiles``."""
-    return ((n0, x) for n0, _r0, x in tiles(draw, size, gen, n_steps, chunk, size))
+    """``(n0, x)`` for consecutive step chunks of ``size`` paths on ``gen``,
+    each drawn whole: ``x[r, j]`` is step ``n0 + j`` of path ``r``."""
+    for n0 in range(1, n_steps + 1, chunk):
+        steps = min(chunk, n_steps - n0 + 1)
+        yield n0, draw(gen, size * steps).reshape(size, steps)

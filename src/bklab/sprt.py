@@ -13,15 +13,15 @@ The reference defaults to the uniform mixture of the candidates, which is
 locally equivalent to each of them and keeps the log ratios bounded below;
 it can be overridden.  All arithmetic is in log space.  A run is strictly
 sequential in n (no observation after tau is read); replicated runs follow
-the stream layout of ``rng.blocks`` and ``rng.walk``.
+the stream layout of ``rng``, block by block in ``simulate_runs``.
 
 Ville's bound P_i[sup_n R^i_n >= c] <= 1/c is a statement about one number
 per path, its peak of log R^i, and the walk that finds it does not depend
 on c.  ``rejection_rate`` keeps the per-path peaks of its latest walk per
 hypothesis index on the ``HypothesisSet``, so a level sweep on one seed
-costs one walk.  The walk draws each 1024-step chunk in ``rng.tiles`` of
-about ``rng.PIECE`` draws, with the draws of the whole chunk, so its memory
-is one tile's uniforms, indices and increments, not the chunk's.
+costs one walk, one loop over ``rng.paths`` that draws each 1024-step chunk
+in tiles of about ``rng.PIECE`` draws, so its memory is one tile's
+uniforms, indices and increments, not the chunk's.
 """
 
 from __future__ import annotations
@@ -268,6 +268,8 @@ def simulate_runs(
     draw = lambda gen, n: hyp.sample_indices(gen, true_index, n)
     tau = np.full(reps, -1, dtype=np.int64)
     decision = np.full(reps, -1, dtype=np.int64)
+    # Block by block, not by ``rng.paths``: ``_passages`` stops reading a
+    # block once all its runs have stopped; ``paths`` would keep drawing.
     for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0):
         steps = (ys[:, 0] for _n, ys in _rng.walk(draw, size, gen, horizon, chunk=1))
         rho, _ = _passages(hyp._increments, logc, steps, size)
@@ -337,34 +339,32 @@ def _peaks(hyp: HypothesisSet, i: int, reps: int, horizon: int, seed: int) -> np
     latest walk is kept per hypothesis index, so calls that differ only in
     the level reuse it.
 
-    Each 1024-step chunk is drawn in ``rng.tiles`` of about ``rng.PIECE``
+    ``rng.paths`` draws each 1024-step chunk in tiles of about ``rng.PIECE``
     draws, so the walk holds one tile's uniforms, indices and increments
-    instead of three chunk-sized arrays.  The tiles take the draws of the
-    whole chunk, and every later step works one path at a time, so the
-    peaks have the bits of a whole-chunk walk."""
+    instead of three chunk-sized arrays, plus a peak and a carry per path.
+    The tiles take the draws of the whole chunk, and every later step works
+    one path at a time, so the peaks have the bits of a whole-chunk walk."""
     key = (reps, horizon, seed)
     held = hyp._peak_memo.get(i)
     if held is not None and held[0] == key:
         return held[1]
     inc_i = hyp._increments[i]
     draw = lambda gen, n: inc_i[hyp.sample_indices(gen, i, n)]
-    peaks = np.full(reps, -np.inf)
+    peaks, carry = np.full(reps, -np.inf), np.zeros(reps)
     tile = max(1, _rng.PIECE // min(1024, horizon))  # paths per draw
-    for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT_REJECT):
-        carry = np.zeros(size)
-        peak = peaks[start : start + size]
-        for _n0, r0, incs in _rng.tiles(draw, size, gen, horizon, 1024, tile):
-            # The carry is added after the max, and gives the same bits as
-            # adding it to every partial sum first: the increments under P_i
-            # are finite and x -> fl(x + carry) is monotone under
-            # round-to-nearest, so max_j fl(c_j + carry) == fl(max_j c_j + carry).
-            # Keeping the peak over chunks instead of OR-ing each chunk's
-            # crossing gives the same bits as well: v_k >= t for some k is
-            # max_k v_k >= t, and finite increments leave no NaN to tell them apart.
-            cums = np.cumsum(incs, axis=1, out=incs)
-            p, c = peak[r0 : r0 + len(cums)], carry[r0 : r0 + len(cums)]
-            np.maximum(p, cums.max(axis=1) + c, out=p)
-            c += cums[:, -1]
+    walk = _rng.paths(draw, reps, horizon, seed, _rng.STREAM_SPRT_REJECT, chunk=1024, rows=tile)
+    for paths, _n0, incs in walk:
+        # The carry is added after the max, and gives the same bits as
+        # adding it to every partial sum first: the increments under P_i
+        # are finite and x -> fl(x + carry) is monotone under
+        # round-to-nearest, so max_j fl(c_j + carry) == fl(max_j c_j + carry).
+        # Keeping the peak over chunks instead of OR-ing each chunk's
+        # crossing gives the same bits as well: v_k >= t for some k is
+        # max_k v_k >= t, and finite increments leave no NaN to tell them apart.
+        cums = np.cumsum(incs, axis=1, out=incs)
+        p, c = peaks[paths], carry[paths]
+        np.maximum(p, cums.max(axis=1) + c, out=p)
+        c += cums[:, -1]
     peaks.flags.writeable = False
     hyp._peak_memo[i] = (key, peaks)
     return peaks

@@ -217,7 +217,7 @@ def test_criterion_5_counterexample_reproduction():
     assert own.halfwidth <= 1e-9 * own.value  # value pinned within 1e-9
     harmonic = float(np.sum(1.0 / np.arange(1, n_atoms + 1)))
     assert abs(harmonic - 12.0901) < 1e-3
-    floor = 2.0 * dist.law.c * harmonic
+    floor = 2.0 * dist.c * harmonic
     assert doubled.verdict == "divergence-evidence"
     assert doubled.value >= floor
     assert elapsed < 5.0

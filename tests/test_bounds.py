@@ -25,7 +25,7 @@ from bklab.distributions import (
     rademacher,
 )
 from bklab.errors import ConditionViolationError, DomainError, PreconditionError
-from bklab.functions import exponential, power, powlog
+from bklab.functions import P_MAX, exponential, power, powlog
 from bklab.lastexit import PathConfig
 
 QUICK = PathConfig(horizon=2**10, replicates=4000, seed=2)
@@ -40,6 +40,12 @@ def test_count_compositions_examples():
         count_compositions(0, 1)
     with pytest.raises(DomainError):
         count_compositions(50, 2)
+
+
+@pytest.mark.parametrize("p, q", [(2.5, 1), (1, 2.5), (True, True), (4, True), (4.0, 2)])
+def test_count_compositions_refuses_non_integer_sizes(p, q):
+    with pytest.raises(DomainError, match="must be an integer"):
+        count_compositions(p, q)
 
 
 def test_count_compositions_vs_enumeration():
@@ -87,6 +93,12 @@ def test_default_p_values():
     assert default_p(power(0.5)) == 1
     assert default_p(power(2)) == 3
     assert default_p(powlog(1, 1)) == 2
+
+
+def test_default_p_refuses_a_g_that_no_p_admits():
+    with pytest.raises(PreconditionError, match=f"no p <= {P_MAX} makes") as exc:
+        default_p(exponential(1.0))
+    assert not isinstance(exc.value, ConditionViolationError)
 
 
 def test_prop1_rademacher_exact_lhs():

@@ -17,7 +17,6 @@ from bklab.distributions import (
     abs_mean,
     bernoulli,
     counterexample_dist,
-    law_rows,
     median,
     moment_xg,
     normalize_counterexample,
@@ -63,7 +62,7 @@ def test_sample_sanity_bands():
 def test_counterexample_samples_in_support():
     d = counterexample_dist(exponential(1.0), 1000)
     xs = sample(d, 3, 5000)
-    support = set(np.round(np.concatenate([-d.law.ts, d.law.ts]), 12))
+    support = set(np.round(np.concatenate([-d.ts, d.ts]), 12))
     assert set(np.round(xs, 12)) <= support
 
 
@@ -207,37 +206,43 @@ def test_normalize_counterexample_mass_accounting():
         normalize_counterexample(g, ts, 1)
 
 
+@pytest.mark.parametrize("prefix", [2.5, 100.0, True])
+def test_normalize_counterexample_refuses_non_integer_prefix(prefix):
+    ts = doubling_witness_exp(1.0, 200)
+    with pytest.raises(DomainError, match="prefix must be an integer"):
+        normalize_counterexample(exponential(1.0), ts, prefix)
+
+
 def test_counterexample_moment_dichotomy():
     d = counterexample_dist(exponential(1.0), 50_000)
     own = moment_xg(d, exponential(1.0))
     assert own.verdict == "finite"
     assert own.halfwidth <= 1e-9 * own.value
-    assert math.isclose(own.value, 2.0 * d.law.c * math.pi**2 / 6.0, rel_tol=1e-8)
+    assert math.isclose(own.value, 2.0 * d.c * math.pi**2 / 6.0, rel_tol=1e-8)
     doubled = moment_xg(d, exponential(1.0), arg_scale=2.0)
     assert doubled.verdict == "divergence-evidence"
     harmonic = float(np.sum(1.0 / np.arange(1, 50_001)))
-    assert doubled.value >= 2.0 * d.law.c * harmonic
+    assert doubled.value >= 2.0 * d.c * harmonic
 
 
 def test_counterexample_tail_and_trunc_moment():
     d = counterexample_dist(exponential(1.0), 5000)
     # below the first atom everything stored is in the tail event
-    assert tail(d, 0.0).value == pytest.approx(d.law.stored_mass)
-    t2 = float(d.law.ts[1])
-    expected = d.law.stored_mass - 2.0 * float(d.law.weights[0])
+    assert tail(d, 0.0).value == pytest.approx(d.stored_mass)
+    t2 = float(d.ts[1])
+    expected = d.stored_mass - 2.0 * float(d.weights[0])
     assert tail(d, t2).value == pytest.approx(expected)
     m = d.abs_trunc_moment_exact(np.asarray([0.0]))[0]
-    assert m == pytest.approx(2.0 * float(np.sum(d.law.weights * d.law.ts)))
+    assert m == pytest.approx(2.0 * float(np.sum(d.weights * d.ts)))
 
 
 def test_law_rows_symmetry():
     d = counterexample_dist(exponential(1.0), 1000)
-    rows = law_rows(d.law)
-    assert len(rows) == 2000
+    assert len(d.atom_values) == len(d.atom_masses) == 2000
     masses = {}
-    for atom, m in rows:
-        masses[atom] = m
-    for t, w in zip(d.law.ts, d.law.weights):
+    for atom, m in zip(d.atom_values, d.atom_masses):
+        masses[float(atom)] = float(m)
+    for t, w in zip(d.ts, d.weights):
         assert masses[float(t)] == masses[-float(t)] == float(w)
 
 
@@ -276,7 +281,7 @@ def test_parse_dist_spec_round_trip():
     d = parse_dist_spec("sym:uniform:w=1")
     assert isinstance(d, TriangularSymmetric)
     d = parse_dist_spec("counterexample:G=exp,prefix=1000")
-    assert isinstance(d, CounterexampleDist) and d.law.ts.size == 1000
+    assert isinstance(d, CounterexampleDist) and d.ts.size == 1000
     with pytest.raises(DomainError):
         parse_dist_spec("cauchy:gamma=1")
 

@@ -1,7 +1,5 @@
-import ast
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,23 +320,3 @@ def test_simulations_hold_one_step_chunk(dist):
     assert peak < 0.5 * 4096 * 2048 * 4
     peak = _peak_bytes(lambda: tail_prob_mean(dist, 2048, 0.05, 4096, 1))
     assert peak < 1.25 * 4096 * 2048 * 4
-
-
-# The stream layout and the path draw; in lastexit only ``_walks`` reads them.
-_LAYOUT = {"_rng.blocks", "_rng.walk", "_rng.tiles", "_f32"}
-LASTEXIT = Path(__file__).resolve().parents[1] / "src" / "bklab" / "lastexit.py"
-
-
-def test_only_walks_reads_the_stream_layout():
-    tree = ast.parse(LASTEXIT.read_text(), filename=str(LASTEXIT))
-    walks = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walks"]
-    assert len(walks) == 1
-    inside = {id(node) for node in ast.walk(walks[0])}
-    found = [
-        f"lastexit.py:{node.lineno}: {ast.unparse(node)}"
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-        and id(node) not in inside
-        and ast.unparse(node) in _LAYOUT
-    ]
-    assert not found, "stream layout read outside _walks:\n" + "\n".join(found)

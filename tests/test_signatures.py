@@ -10,8 +10,7 @@ import bklab
 
 SIGNATURES = {
     "BoundReport": ("name", "lhs", "lhs_se", "rhs", "rhs_se", "seed", "details"),
-    "CounterexampleDist": ("law",),
-    "CounterexampleLaw": ("g", "ts", "weights", "c", "tail_mass_bound"),
+    "CounterexampleDist": ("g", "ts", "weights", "c", "tail_mass_bound"),
     "DecisionRecord": ("tau", "censored", "decision", "rho", "log_ratios_at_tau"),
     "DeviationProfile": (
         "dist_spec", "endpoints", "small_values", "endpoint_values", "n_max", "reps",

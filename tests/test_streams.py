@@ -8,7 +8,9 @@ a pure refactor of the walking code must not.  The digests were recorded with
 numpy 2.4.6; another numpy may draw differently from the same Philox stream.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,22 +130,63 @@ def test_walk_chunks_row_major():
     assert [x.tolist() for _, x in chunks] == [[[0, 1], [2, 3]]] * 2 + [[[0], [1]]]
 
 
-def test_tiles_cut_chunk_rows_in_order():
-    gen = rng.substream(3)
+def test_paths_cut_blocks_chunks_and_tiles_in_order():
+    # two blocks, a row count that does not divide a block, a short last chunk
+    reps, n_steps, chunk, rows, key = rng.BLOCK + 5, 7, 3, 1000, (3, rng.STREAM_LEVY)
+    gens = []
 
     def draw(gen, n):
+        if gen not in gens:
+            gens.append(gen)
         return gen.random(n)
 
-    tiles = list(rng.tiles(draw, 5, gen, 7, 3, 2))
-    assert [(n0, r0, x.shape) for n0, r0, x in tiles] == [
-        (n0, r0, (min(2, 5 - r0), min(3, 8 - n0))) for n0 in (1, 4, 7) for r0 in (0, 2, 4)
+    walk = rng.paths(draw, reps, n_steps, *key, chunk=chunk, rows=rows)
+    tiles = [(p, n0, x.copy()) for p, n0, x in walk]
+    blocks = [(0, rng.BLOCK), (rng.BLOCK, reps)]
+    # block by block, chunk by chunk, the tiles covering each block in order
+    assert [(p.start, p.stop, n0) for p, n0, _x in tiles] == [
+        (r0, min(r0 + rows, hi), n0)
+        for lo, hi in blocks
+        for n0 in (1, 4, 7)
+        for r0 in range(lo, hi, rows)
     ]
-    # the tiles of a chunk hold the draws of the whole chunk, row-major
-    ref = rng.substream(3)
-    for n0, chunk in rng.walk(draw, 5, ref, 7, chunk=3):
-        got = np.concatenate([x for m0, _r0, x in tiles if m0 == n0])
-        assert np.array_equal(got, chunk)
-    assert gen.random() == ref.random()
+    assert len(gens) == len(blocks)
+    for b, (lo, hi) in enumerate(blocks):
+        # the tiles of a (block, chunk) hold the draws of the whole chunk,
+        # row-major, and leave the block's generator where a whole walk does
+        ref = rng.substream(*key, b)
+        for n0, whole in rng.walk(lambda g, n: g.random(n), hi - lo, ref, n_steps, chunk):
+            got = [x for p, m0, x in tiles if m0 == n0 and lo <= p.start < hi]
+            assert np.array_equal(np.concatenate(got), whole)
+        assert repr(gens[b].bit_generator.state) == repr(ref.bit_generator.state)
+
+
+# Only ``rng.paths`` turns blocks and tiles into path indices, and ``_f32``
+# draws only for it; ``simulate_runs`` walks block by block so that it can
+# stop reading a finished block.
+SRC = Path(__file__).resolve().parents[1] / "src" / "bklab"
+_BANNED = {
+    "lastexit": {"_rng.tiles", "_rng.blocks", "_rng.walk"},
+    "sprt": {"_rng.tiles", "_rng.blocks"},
+}
+
+
+def test_only_rng_turns_the_layout_into_paths():
+    found = []
+    for module, banned in _BANNED.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_rng.paths":
+                exempt.add(id(node.args[0]))
+            elif isinstance(node, ast.FunctionDef) and node.name == "simulate_runs":
+                exempt.update(id(n) for n in ast.walk(node) if ast.unparse(n) == "_rng.blocks")
+        for node in ast.walk(tree):
+            read = isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in banned
+            draw = isinstance(node, ast.Call) and ast.unparse(node.func) == "_f32"
+            if (read or draw) and id(node) not in exempt:
+                found.append(f"{module}.py:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "stream layout read outside rng.paths:\n" + "\n".join(found)
 
 
 @pytest.mark.parametrize("reps", [0, -5])
