@@ -350,17 +350,16 @@ def sym_transfer_check(
 
 
 def enumerate_compositions(p: int, q: int):
-    """All integer sequences of length q, entries >= 1, summing to p."""
+    """All integer sequences of length q, entries >= 1, summing to p; none
+    when p or q is 0, or q > p."""
+    _rng.check_size("p", p, 0)
+    _rng.check_size("q", q, 0)
     if q < 1 or p < 1:
-        return
-    for cuts in combinations(range(1, p), q - 1):
-        parts = []
-        prev = 0
-        for cut in cuts:
-            parts.append(cut - prev)
-            prev = cut
-        parts.append(p - prev)
-        yield tuple(parts)
+        return iter(())
+    return (
+        tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, p)))
+        for cuts in combinations(range(1, p), q - 1)
+    )
 
 
 def count_compositions(p: int, q: int) -> int:
@@ -379,9 +378,10 @@ def count_compositions(p: int, q: int) -> int:
 
 def multinomial(p: int, parts) -> int:
     """Exact multinomial coefficient p! / prod(parts_i!) in big integers."""
-    parts = [int(x) for x in parts]
-    if any(x < 0 for x in parts):
-        raise DomainError("parts must be nonnegative")
+    _rng.check_size("p", p, 0)
+    parts = tuple(parts)
+    for x in parts:
+        _rng.check_size("every part", x, 0)
     if sum(parts) != p:
         raise DomainError(f"parts sum to {sum(parts)}, expected {p}")
     out = math.factorial(p)

@@ -8,10 +8,9 @@ Every statistic is one loop over ``rng.paths``, which alone turns the
 stream layout into path indices: replicate blocks on their own substreams,
 consumed in step chunks with running sums only, so results are identical
 for a fixed seed however workers schedule the blocks.  Draws fill one
-float32 buffer in cache-sized pieces of ``rng.PIECE``.  The last-exit scan
-holds one step chunk of one block, worked in tiles of ``_TILE`` paths by one
-segment (about 1.5 MB of buffers); the profile, tail and Levy walks hold one
-tile of ``_TILE`` paths by one chunk.  Beyond that a call holds its per-path
+float32 buffer in cache-sized pieces of ``rng.PIECE``.  Every walk holds one
+tile of ``_TILE`` paths by one chunk; the last-exit scan adds buffers for one
+tile by one segment (about 1.7 MB).  Beyond that a call holds its per-path
 state and the sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
@@ -35,7 +34,7 @@ from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
-_TILE = 512  # paths per tile of the last-exit scan and of the other walks
+_TILE = 512  # paths per tile of every walk
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 HEAD = 64  # series terms n <= HEAD are summed one by one, the rest in dyadic blocks
 
@@ -159,51 +158,44 @@ def last_exit_samples(
     replicate, measured up to the horizon."""
     check_level(a)
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
-    values = np.zeros(reps, dtype=np.int64)
-    running, l1 = np.zeros(reps), np.empty(reps)
-    # Scan buffers for one tile of paths by one segment; every step of the
-    # scan works row by row, so tiles give the bits of whole blocks.
+    values, running = np.zeros(reps, dtype=np.int64), np.zeros(reps)
+    # Scan buffers for one tile of paths by one segment.
     tile = min(reps, _TILE)
+    l1_buf = np.empty(tile)
     abs_buf = np.empty((tile, _SEG_STEPS), dtype=np.float32)
     cums_buf = np.empty((tile, _SEG_STEPS))
     dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
-    # The exclusion bound decides for a whole block at once, so each tile is
-    # one block: the skip sums pairwise and the scan sequentially, and a
-    # per-tile choice would move bits.
     key = _rng.STREAM_LASTEXIT, stream
-    for paths, n0, draws in _rng.paths(_f32(dist), reps, horizon, cfg.seed, *key, rows=_rng.BLOCK):
-        run, last, l1_run = running[paths], values[paths], l1[paths]
-        size, steps = draws.shape
+    for paths, n0, draws in _rng.paths(_f32(dist), reps, horizon, cfg.seed, *key, rows=_TILE):
+        run, last = running[paths], values[paths]
+        k, steps = draws.shape
         # Per-segment exclusion: within a segment starting at m0,
         # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that stays
         # below a*m0 the segment cannot contain a deviation and only the
-        # carry is needed.
+        # carry is needed.  The |X| pass runs only if the carry alone leaves
+        # room, which is the same decision, as fl(|r| + l) >= |r|.
         for j0 in range(0, steps, _SEG_STEPS):
             j1 = min(j0 + _SEG_STEPS, steps)
-            seg = draws[:, j0:j1]
+            seg, w = draws[:, j0:j1], j1 - j0
             m0, m_hi = n0 + j0, n0 + j1 - 1
-            w = j1 - j0
-            for r0 in range(0, size, _TILE):
-                rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
-                np.abs(seg[rows], out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1_run[rows])
-            if float((np.abs(run) + l1_run).max()) + abs(x) * m_hi < a * m0:
-                run += seg.sum(axis=1, dtype=np.float64)
-                continue
+            reach, level = abs(x) * m_hi, a * m0
+            if float(np.abs(run).max()) + reach < level:
+                l1 = np.abs(seg, out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1_buf[:k])
+                if float((np.abs(run) + l1).max()) + reach < level:
+                    run += seg.sum(axis=1, dtype=np.float64)
+                    continue
             ns = np.arange(m0, m_hi + 1, dtype=float)
-            shift, bound = x * ns, a * ns
-            for r0 in range(0, size, _TILE):
-                rows, k = slice(r0, r0 + _TILE), min(_TILE, size - r0)
-                cums = np.cumsum(seg[rows], axis=1, dtype=np.float64, out=cums_buf[:k, :w])
-                cums += run[rows, None]
-                run[rows] = cums[:, -1]
-                # run holds the carry, so cums is free to overwrite
-                if x != 0.0:
-                    cums -= shift
-                dev = np.greater_equal(np.abs(cums, out=cums), bound, out=dev_buf[:k, :w])
-                hit = dev.any(axis=1)
-                if hit.any():
-                    lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
-                    np.copyto(last[rows], m0 + lastpos, where=hit)
+            cums = np.cumsum(seg, axis=1, dtype=np.float64, out=cums_buf[:k, :w])
+            cums += run[:, None]
+            run[:] = cums[:, -1]
+            # run holds the carry, so cums is free to overwrite
+            if x != 0.0:
+                cums -= x * ns
+            dev = np.greater_equal(np.abs(cums, out=cums), a * ns, out=dev_buf[:k, :w])
+            hit = dev.any(axis=1)
+            if hit.any():
+                lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
+                np.copyto(last, m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
     return LastExitBatch(values, censored)
 

@@ -86,13 +86,15 @@ def blocks(reps: int, seed: int, *key: int):
     )
 
 
-def paths(draw, reps: int, n_steps: int, seed: int, *key: int, chunk=CHUNK, rows=BLOCK):
+def paths(draw, reps: int, n_steps: int, seed: int, *key: int, chunk=CHUNK, rows: int):
     """``(paths, n0, x)`` for each tile of a ``reps``-path walk of ``n_steps``
     steps on stream ``(seed, *key)``, block by block, then chunk by chunk,
     then tile by tile of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps
     count from 1) of path ``paths.start + r``, drawn as ``draw(gen, k *
-    steps).reshape(k, steps)`` for the tile's ``k`` paths.  A tile may be a
-    view of a buffer that ``draw`` reuses, valid until the next tile is drawn."""
+    steps).reshape(k, steps)`` for the tile's ``k`` paths.  The draws do not
+    depend on ``rows``, and the caller holds one tile of them at a time.  A
+    tile may be a view of a buffer that ``draw`` reuses, valid until the next
+    tile is drawn."""
     for start, size, gen in blocks(reps, seed, *key):
         for n0 in range(1, n_steps + 1, chunk):
             steps = min(chunk, n_steps - n0 + 1)

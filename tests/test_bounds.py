@@ -42,10 +42,26 @@ def test_count_compositions_examples():
         count_compositions(50, 2)
 
 
-@pytest.mark.parametrize("p, q", [(2.5, 1), (1, 2.5), (True, True), (4, True), (4.0, 2)])
+@pytest.mark.parametrize("p, q", [(2.5, 1), (1, 2.5), (True, True), (4, True), (4.0, 2), (3, 1.5)])
 def test_count_compositions_refuses_non_integer_sizes(p, q):
+    # enumerate_compositions and multinomial (with q for each part) share the rule
     with pytest.raises(DomainError, match="must be an integer"):
         count_compositions(p, q)
+    with pytest.raises(DomainError, match="must be an integer"):
+        enumerate_compositions(p, q)
+    with pytest.raises(DomainError, match="must be an integer"):
+        multinomial(p, (q, q))
+
+
+def test_compositions_keep_the_empty_set_convention():
+    assert list(enumerate_compositions(0, 0)) == []
+    assert list(enumerate_compositions(0, 2)) == []
+    assert list(enumerate_compositions(3, 0)) == []
+    assert list(enumerate_compositions(2, 3)) == []
+    assert multinomial(0, ()) == 1
+    assert multinomial(3, [1, 2]) == 3
+    with pytest.raises(DomainError, match="must be >= 0"):
+        enumerate_compositions(-1, 1)
 
 
 def test_count_compositions_vs_enumeration():

@@ -309,10 +309,11 @@ def _peak_bytes(fn) -> int:
 def test_simulations_hold_one_step_chunk(dist):
     # One chunk is 4096 paths by 2048 float32 steps for last-exit, the tail
     # and the Levy check, 2000 by 2048 for the profile; a simulation may add
-    # little beyond it.
+    # little beyond it.  Last-exit holds one 512-path tile by one chunk (1/8
+    # chunk) and scan buffers for one tile by one 256-step segment.
     cfg = PathConfig(2048, 4096, 1)
     peak = _peak_bytes(lambda: last_exit_samples(dist, 0.25, cfg))
-    assert peak < 1.10 * 4096 * 2048 * 4
+    assert peak < 0.3 * 4096 * 2048 * 4
     peak = _peak_bytes(lambda: deviation_profile(dist, 4096, 2000, 1))
     assert peak < 1.25 * 2000 * 2048 * 4
     # the Levy walk widens each float32 tile into one reused float64 buffer

@@ -17,8 +17,9 @@ The stream pins in ``tests/test_streams.py`` all run at a = 0.05, where the
 exclusion bound skips no segment; these cases use a in {0.25, 0.5, 1}, so
 the skip branch, the carry of the running sums and the scan all run, with
 4100 paths (two replicate blocks) and horizons that end on a chunk boundary
-(2048) and inside a chunk (2500); the tail and Levy audits also run 300
-steps, less than one chunk.
+(2048) and inside a chunk (2500); last-exit also runs 4796 paths, whose
+second block is one full tile and a short one, and the tail and Levy audits
+also run 300 steps, less than one chunk.
 """
 
 import math
@@ -234,15 +235,28 @@ def test_two_atom_cut_is_exact_on_the_float32_grid(k, frac):
     _same_bits(dist.sample_array(_Uniforms(u), u.size, np.float32), want)
 
 
+@pytest.mark.parametrize("reps", [REPS, 4096 + _TILE + 188])
 @pytest.mark.parametrize("center", [0.0, 0.3])
 @pytest.mark.parametrize("horizon", [2048, 2500])
 @pytest.mark.parametrize(
-    "law", ["gaussian-1", "uniform-1", "pareto2-1.5", "triangular", "rademacher", "bernoulli-0.75"]
+    "law",
+    [
+        "gaussian-1",
+        "gaussian-2.5",
+        "uniform-1",
+        "pareto2-1.5",
+        "pareto2-1",
+        "triangular",
+        "rademacher",
+        "bernoulli-0.75",
+    ],
 )
-def test_last_exit_samples_matches_reference(law, horizon, center):
+def test_last_exit_samples_matches_reference(law, horizon, center, reps):
+    # The library scans tile by tile, the reference block by block; the
+    # gaussian-2.5 and pareto2-1 draws have float64 sums that can round.
     dist = LAWS[law]
     for a in (0.25, 0.5, 1.0):
-        cfg = PathConfig(horizon, REPS, 3, center)
+        cfg = PathConfig(horizon, reps, 3, center)
         batch = last_exit_samples(dist, a, cfg)
         values, censored = ref_last_exit_samples(dist, a, cfg)
         _same_bits(batch.values, values)
