@@ -25,7 +25,6 @@ from .distributions import (
     abs_mean,
     bernoulli,
     counterexample_dist,
-    median,
     moment_xg,
     normalize_counterexample,
     parse_dist_spec,
@@ -39,7 +38,6 @@ from .distributions import (
 from .functions import (
     GridSpec,
     ModerateFunction,
-    counterexample_sequence,
     doubling_ratio_sup,
     doubling_witness_exp,
     exponential,
@@ -52,14 +50,12 @@ from .functions import (
 from .lastexit import (
     DeviationProfile,
     EGEstimate,
-    LastExitSample,
     PathConfig,
     SeriesEstimate,
     deviation_profile,
     estimate_EG_lastexit,
     estimate_series,
     last_exit_samples,
-    last_exit_time,
     levy_maximal_check,
     tail_prob_mean,
 )

@@ -35,6 +35,7 @@ from .functions import P_MAX, GridSpec, ModerateFunction, check_tail_condition, 
 from .lastexit import (
     DeviationProfile,
     PathConfig,
+    check_centered,
     deviation_profile,
     estimate_EG_lastexit,
     estimate_series,
@@ -248,10 +249,16 @@ def sym_transfer_check(
     (iii) P[|U_n| >= a] <= 2 P[|U*_n| >= a/2] <= 4 P[|U_n| >= a/4] at dyadic n,
           asserted from the first checkpoint n0 where the empirical median of
           U_n sits below a/4.
+
+    Every side measures deviations from 0, the center of X* = X - X', so the
+    law must be centered and ``cfg.center`` must be 0.
     """
     cfg = cfg or PathConfig(horizon=2**12, replicates=10_000, seed=0)
-    if cfg.center == 0.0 and abs(dist.mean()) > 1e-9:
-        raise PreconditionError("symmetrization transfer needs a centered law")
+    if cfg.center != 0.0:
+        raise DomainError(
+            f"the symmetrization transfer measures deviations from 0, got center {cfg.center!r}"
+        )
+    check_centered(dist)
     c = _require_doubling(g)
     star = symmetrize(dist)
     seed = cfg.seed
@@ -277,8 +284,8 @@ def sym_transfer_check(
         )
     )
 
-    cfg_star = PathConfig(cfg.horizon, cfg.replicates, _rng.derive_seed(seed, 43), cfg.center)
-    cfg_plain = PathConfig(cfg.horizon, cfg.replicates, _rng.derive_seed(seed, 44), cfg.center)
+    cfg_star = PathConfig(cfg.horizon, cfg.replicates, _rng.derive_seed(seed, 43))
+    cfg_plain = PathConfig(cfg.horizon, cfg.replicates, _rng.derive_seed(seed, 44))
     eg_star = estimate_EG_lastexit(star, g, 2.0 * a, cfg_star, stream=45)
     eg_plain = estimate_EG_lastexit(dist, g, a, cfg_plain, stream=46)
     reports.append(

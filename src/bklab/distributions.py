@@ -1,5 +1,5 @@
-"""Increment-law models: sampling, moment functionals, tails, medians,
-truncation thresholds, symmetrization, and the non-moderate counterexample law.
+"""Increment-law models: sampling, moment functionals, tails, truncation
+thresholds, symmetrization, and the non-moderate counterexample law.
 
 Every law is immutable after construction and sampling is pure given
 (seed, indices), so instances are safe to share across threads.  Sampling
@@ -21,12 +21,12 @@ from . import rng as _rng
 from .errors import (
     DomainError,
     PrecisionError,
+    PreconditionError,
     UnsupportedOperationError,
 )
 from .functions import (
     REQUIRED,
     ModerateFunction,
-    counterexample_sequence,
     doubling_witness_exp,
     parse_function_spec,
     parse_spec,
@@ -35,7 +35,6 @@ from .functions import (
 from .quadrature import doubling_edges, geometric_tail, panel_integrals
 from .report import DIVERGENT, FINITE, MOMENT, Verdict
 
-_SEARCH_LIMIT = 1e7  # largest t of the counterexample search grid
 _QUAD_REL_TOL = 1e-9  # a dyadic quadrature segment below this share ends the sum
 _QUAD_BLOW_UP = 1e6  # total past which a growing segment sum is divergence evidence
 _QUAD_TIE = 1e-12  # segments this close, relative, count as equal in the trend tests
@@ -81,7 +80,8 @@ class Distribution:
     def sample_array(self, gen: np.random.Generator, n: int, dtype=np.float64) -> np.ndarray:
         raise NotImplementedError
 
-    # Analytic hooks; None means "no closed form, fall back to Monte Carlo".
+    # Analytic hooks; None means "no closed form": estimators then fall back
+    # to Monte Carlo, or refuse the law where they need the closed form.
     def atoms(self):
         return None
 
@@ -124,6 +124,16 @@ def _elementwise(pdf):
         return float(out) if x.ndim == 0 else out
 
     return density
+
+
+def _atom_trunc_moment(av: np.ndarray, mass: np.ndarray):
+    """t -> E[|X| ; |X| >= t] for array t, for the law with mass ``mass[i]``
+    at |X| = ``av[i]``: the magnitudes are sorted once and the suffix sums of
+    |v| * mass read with ``searchsorted``, in memory linear in atoms plus t."""
+    order = np.argsort(av, kind="stable")
+    av = av[order]
+    above = np.append(np.cumsum((av * mass[order])[::-1])[::-1], 0.0)
+    return lambda t: above[np.searchsorted(av, np.asarray(t, dtype=float))]
 
 
 # Widest atom offset of a lattice law: a memory guard, so that atoms such as
@@ -182,40 +192,38 @@ class Discrete(Distribution):
     def mean(self) -> float:
         return float(np.dot(self._vals, self._probs))
 
-    def _two_atom(self, ftype, utype, cut):
-        """``(cut, bits of v1, bits of v0 ^ bits of v1)`` in ``ftype``."""
-        b0, b1 = np.array(self.values, dtype=ftype).view(utype)
-        return ftype(cut), b1, b0 ^ b1
-
-    @cached_property
-    def _two_atom_f64(self) -> tuple:
-        return self._two_atom(np.float64, np.uint64, self._probs[0])
-
     @cached_property
     def _two_atom_f32(self) -> tuple:
+        """``(cut, bits of v1, bits of v0 ^ bits of v1)`` in float32."""
+        b0, b1 = np.array(self.values, dtype=np.float32).view(np.uint32)
         # A float32 uniform is k 2^-24, so u < p0 holds exactly when
         # u < ceil(p0 2^24) 2^-24, a value float32 holds exactly; p0 rounded
         # to float32 would not be exact.
-        return self._two_atom(np.float32, np.uint32, math.ceil(self._probs[0] * 2.0**24) * 2.0**-24)
+        return np.float32(math.ceil(self._probs[0] * 2.0**24) * 2.0**-24), b1, b0 ^ b1
+
+    @cached_property
+    def _trunc_moment(self):
+        return _atom_trunc_moment(np.abs(self._vals), self._probs)
 
     def sample_array(self, gen, n, dtype=np.float64):
         """Atom i where the uniform u falls in [cum_{i-1}, cum_i).
 
         Every draw reads one ``gen.random`` uniform in the dtype asked for,
         whatever the number of atoms, so the stream layout does not depend
-        on the branch.  With two atoms, u < p0 is tested against a cut that
-        is exact on the grid of the draw, in the draw's own dtype, and the
-        atom is picked by its bits, ``((u < cut) * (b0 ^ b1)) ^ b1``, which
-        is exact for any pair, -0.0 included: the values are those of
-        ``np.where(u < p0, v0, v1)`` with the comparison made in float64."""
+        on the branch.  Float32 draws of two atoms, the draws of every walk,
+        test u < p0 against a cut that is exact on the float32 grid and pick
+        the atom by its bits, ``((u < cut) * (b0 ^ b1)) ^ b1``, which is
+        exact for any pair, -0.0 included: the values are those of
+        ``np.where(u < p0, v0, v1)`` with the comparison made in float64,
+        which is what ``searchsorted`` gives every other draw."""
         ftype = np.float32 if dtype == np.float32 else np.float64
         u = gen.random(n, dtype=ftype)
-        if len(self.values) == 2:
-            cut, b1, flip = self._two_atom_f32 if ftype is np.float32 else self._two_atom_f64
-            m = (u < cut).astype(b1.dtype)
+        if ftype is np.float32 and len(self.values) == 2:
+            cut, b1, flip = self._two_atom_f32
+            m = (u < cut).astype(np.uint32)
             m *= flip
             m ^= b1
-            return m.view(ftype)
+            return m.view(np.float32)
         idx = np.searchsorted(self._cum, u, side="right")
         return self._vals[np.minimum(idx, len(self.values) - 1)].astype(dtype, copy=False)
 
@@ -246,10 +254,7 @@ class Discrete(Distribution):
         return float(np.dot(np.abs(self._vals), self._probs))
 
     def abs_trunc_moment_exact(self, t):
-        t = np.asarray(t, dtype=float)
-        av = np.abs(self._vals)
-        contrib = av * self._probs
-        return (contrib[None, :] * (av[None, :] >= t[..., None])).sum(axis=-1)
+        return self._trunc_moment(t)
 
     def median_exact(self):
         if self.symmetric:
@@ -562,10 +567,12 @@ class CounterexampleDist(Distribution):
     def abs_mean_exact(self):
         return 2.0 * float(np.sum(self.weights * self.ts))
 
+    @cached_property
+    def _trunc_moment(self):
+        return _atom_trunc_moment(self.ts, 2.0 * self.weights)
+
     def abs_trunc_moment_exact(self, t):
-        t = np.asarray(t, dtype=float)
-        contrib = 2.0 * self.weights * self.ts
-        return (contrib[None, :] * (self.ts[None, :] >= t[..., None])).sum(axis=-1)
+        return self._trunc_moment(t)
 
     def spec_string(self):
         return f"counterexample:G={self.g.spec_string()},prefix={self.ts.size}"
@@ -574,15 +581,18 @@ class CounterexampleDist(Distribution):
 def counterexample_dist(g: ModerateFunction, prefix: int) -> CounterexampleDist:
     """Build the two-sided atom law witnessing the failure of moderation.
 
-    For the exp family the witness sequence t_n = log(n+1)/b is available in
-    closed form; any other G goes through the geometric grid search, which is
-    only practical for modest prefixes.
+    The law exists exactly when G is not moderate.  The exp family has the
+    closed-form witness t_n = log(n+1)/b; a G that carries a doubling
+    constant c (G(2t) <= c G(t)) is moderate and is refused by it.
     """
     if g.name == "exp":
-        ts = doubling_witness_exp(g.params["b"], prefix)
-    else:
-        ts = counterexample_sequence(g, prefix, _SEARCH_LIMIT)
-    return normalize_counterexample(g, ts, prefix)
+        return normalize_counterexample(g, doubling_witness_exp(g.params["b"], prefix), prefix)
+    if g.claimed_doubling is not None:
+        raise PreconditionError(
+            f"{g.spec_string()} is moderate (G(2t) <= {g.claimed_doubling:g} G(t)), "
+            "so it has no counterexample law"
+        )
+    raise UnsupportedOperationError(f"no witness sequence is known for {g.spec_string()}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -773,18 +783,6 @@ def tail(dist: Distribution, t: float, *, reps: int = 200_000, seed: int = 0) ->
     return TailEstimate(p, math.sqrt(p * (1.0 - p) / reps), False)
 
 
-def median(dist: Distribution, reps: int = 100_001, seed: int = 0) -> float:
-    """A median of the law; symmetric kinds return 0 by convention, discrete
-    kinds the smallest median, other kinds the empirical lower median."""
-    exact = dist.median_exact()
-    if exact is not None:
-        return exact
-    _rng.check_size("reps", reps)
-    gen = _rng.substream(seed, _rng.STREAM_MEDIAN)
-    x = np.sort(dist.sample_array(gen, reps))
-    return float(x[(len(x) - 1) // 2])
-
-
 def truncation_threshold(dist: Distribution, alpha: float) -> float:
     """Smallest grid t with E[|X| ; |X| >= t] <= 1 - alpha.
 
@@ -816,13 +814,16 @@ def truncation_threshold(dist: Distribution, alpha: float) -> float:
 
 def symmetrization_check(dist: Distribution, *, reps: int = 200_000, seed: int = 0) -> list[dict]:
     """Audit the median-symmetrization sandwich
-    P[|Y - mu| >= 2t] <= 2 P[|Y*| >= 2t] <= 4 P[|Y| >= t] on a grid of t.
+    P[|Y - mu| >= 2t] <= 2 P[|Y*| >= 2t] <= 4 P[|Y| >= t] on a grid of t,
+    with mu the law's ``median_exact`` (0 for a symmetric law).
 
     Exact for small discrete laws, Monte Carlo within 4 standard errors
     otherwise; each row reports both inequalities.
     """
     star = symmetrize(dist)
-    mu = median(dist, seed=seed)
+    mu = dist.median_exact()
+    if mu is None:
+        raise UnsupportedOperationError(f"the symmetrization audit needs a closed-form median ({dist.name})")
     exact = dist.atoms() is not None and star.atoms() is not None
     if exact:
         (y, py), (ystar, pstar) = dist.atoms(), star.atoms()

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type derives from ``LabError``, which the command line turns into a
+message and exit status 2.  ``PreconditionError`` says that what was asked
+for does not exist for the inputs given, such as the counterexample law of a
+moderate G.
+"""
 
 
 class LabError(Exception):
@@ -23,19 +29,6 @@ class ConditionViolationError(PreconditionError):
     def __init__(self, message, smallest_admissible_p=None):
         super().__init__(message)
         self.smallest_admissible_p = smallest_admissible_p
-
-
-class SearchExhaustedError(LabError):
-    """A grid search ran out before the requested object was found.
-
-    ``achieved`` is the last index that was successfully constructed and
-    ``partial`` the sequence built so far.
-    """
-
-    def __init__(self, message, achieved=0, partial=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.partial = partial
 
 
 class PrecisionError(LabError):

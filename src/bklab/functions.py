@@ -18,20 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConditionViolationError,
-    DomainError,
-    PreconditionError,
-    SearchExhaustedError,
-)
+from .errors import ConditionViolationError, DomainError, PreconditionError
 from .quadrature import doubling_edges, geometric_tail, panel_integrals
 from .report import DIVERGENT, DOUBLING, FINITE, Verdict
 from .rng import check_size
 
 P_MAX = 12  # largest exponent p that the tail-integrability scans try
 _H_REL_TOL = 1e-9  # h_majorant's bound on its remainder error, as a share of the sum
-_SEARCH_RATIO = 1.01  # step of the counterexample search grid
-_SEARCH_START = 1e-3  # first point of the counterexample search grid
 
 
 def spec_number(x: float) -> str:
@@ -349,48 +342,12 @@ def h_scaling_constant(g: ModerateFunction, p: int, grid: GridSpec) -> float:
     return best
 
 
-def counterexample_sequence(g: ModerateFunction, count: int, search_limit: float) -> np.ndarray:
-    """Strictly increasing t_1 < ... < t_count with G(2 t_n) >= n G(t_n),
-    each t_n minimal on the geometric search grid subject to strict increase.
-
-    Intended for non-moderate G; for a moderate G the search fails at some n
-    and raises SearchExhaustedError carrying the last index achieved.
-    """
-    check_size("count", count)
-    if search_limit <= _SEARCH_START:
-        raise DomainError(f"search_limit must exceed {_SEARCH_START:g}")
-    npts = int(math.ceil(math.log(search_limit / _SEARCH_START) / math.log(_SEARCH_RATIO))) + 1
-    if npts > 50_000_000:
-        raise DomainError("search grid too fine for the given limit")
-    ts_grid = _SEARCH_START * _SEARCH_RATIO ** np.arange(npts)
-    ts_grid = ts_grid[ts_grid <= search_limit]
-    with np.errstate(over="ignore"):
-        lr = g.log_eval(2.0 * ts_grid) - g.log_eval(ts_grid)
-
-    out = np.empty(count)
-    idx = 0
-    for n in range(1, count + 1):
-        need = math.log(n)
-        hits = np.nonzero(lr[idx:] >= need)[0]
-        if hits.size == 0:
-            raise SearchExhaustedError(
-                f"no t with G(2t) >= {n} G(t) up to {search_limit:g} "
-                f"(evidence that {g.spec_string()} is moderate on this range)",
-                achieved=n - 1,
-                partial=out[: n - 1].copy(),
-            )
-        j = idx + int(hits[0])
-        out[n - 1] = ts_grid[j]
-        idx = j + 1
-    return out
-
-
 def doubling_witness_exp(b: float, count: int) -> np.ndarray:
     """t_n = log(n+1)/b, the natural witness sequence for G(t) = exp(b t):
     G(2 t_n)/G(t_n) = n+1 >= n, strictly increasing, and t_1 > 0.
 
-    Tracks log n instead of walking the generic geometric grid, which cannot
-    resolve the ~1/n spacing the sequence needs once n is large.
+    Only a G that is not moderate has such a sequence; of the built-in
+    families that is the exp family alone, and this is its closed form.
     """
     if b <= 0:
         raise DomainError("need b > 0")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng as _rng
 from .distributions import Distribution
-from .errors import DataError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .exact import MAX_STEPS, check_threshold, dev_probs, exact_dev_prob, levy_sides
 from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
@@ -53,14 +53,6 @@ class PathConfig:
             _rng.check_size("horizon and replicates", v)
         if not math.isfinite(self.center):
             raise DomainError(f"the deviation center must be finite, got {self.center!r}")
-
-
-@dataclass(frozen=True)
-class LastExitSample:
-    """One path's last-exit statistic; value 0 means no deviation occurred."""
-
-    value: int
-    censored: bool
 
 
 @dataclass(frozen=True)
@@ -131,24 +123,6 @@ def _f32(dist: Distribution):
         return out
 
     return draw
-
-
-def last_exit_time(path, a: float, x: float = 0.0) -> LastExitSample:
-    """Largest n <= N with |Y_n - x| >= a (0 if none), censored when that n
-    falls in the final dyadic block [N/2, N]."""
-    check_level(a)
-    if not math.isfinite(x):
-        raise DomainError(f"the deviation center must be finite, got {x!r}")
-    arr = np.asarray(path, dtype=float)
-    if arr.size == 0:
-        raise DomainError("path must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("path contains non-finite entries")
-    dev = np.abs(arr - x) >= a
-    if not dev.any():
-        return LastExitSample(0, False)
-    value = int(np.nonzero(dev)[0][-1]) + 1
-    return LastExitSample(value, value >= arr.size / 2)
 
 
 def last_exit_samples(

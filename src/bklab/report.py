@@ -1,14 +1,15 @@
 """Deterministic JSON/CSV report emission.
 
 ``render_json`` and ``render_csv`` make a single pass over the payload: they
-walk it once, append string chunks to one list, join it at the end and empty
-it before the text is encoded.  numpy scalars and arrays are converted where
-the walk meets them (arrays through ``tolist``), so the payload is never
-copied.  A float table is rendered with one precomputed ``%.17g`` row
-template, ``_BATCH`` rows at a time, straight from the array without
-``tolist``; every list is rendered element by element.  A float table is a
-non-empty 2-D float64 array of finite values (the counterexample atoms).
-Both paths give the same bytes.
+walk it once and append each string chunk, encoded, to one byte buffer,
+whose bytes they return without a copy, so a render peaks near the size of
+its output.  numpy scalars and arrays are converted where the walk meets
+them (arrays through ``tolist``), so the payload is never copied.  A float
+table is rendered with one precomputed ``%.17g`` row template, ``_BATCH``
+rows at a time, straight from the array without ``tolist``; every list is
+rendered element by element.  A float table is a non-empty 2-D float64
+array of finite values (the counterexample atoms).  Both paths give the
+same bytes.
 
 What the output guarantees, for a given payload:
 
@@ -29,6 +30,7 @@ optional timestamp is off by default and always excluded by
 
 from __future__ import annotations
 
+import io
 import math
 import time
 
@@ -85,7 +87,14 @@ def _is_float_table(rows) -> bool:
             and rows.size > 0 and bool(np.isfinite(rows).all()))
 
 
-def _write_table(out: list, rows, row: str, sep: str) -> None:
+class _Out(io.BytesIO):
+    """The output buffer of a render: ``append`` writes a text chunk encoded."""
+
+    def append(self, chunk: str) -> None:
+        self.write(chunk.encode())
+
+
+def _write_table(out: _Out, rows, row: str, sep: str) -> None:
     """Append the float table ``rows`` to ``out``, each row filled into the
     ``row`` template and rows joined by ``sep``, ``_BATCH`` rows at a time."""
     for i in range(0, len(rows), _BATCH):
@@ -93,14 +102,6 @@ def _write_table(out: list, rows, row: str, sep: str) -> None:
         if i:
             out.append(sep)
         out.append(sep.join([row] * len(part)) % tuple(np.ravel(part).tolist()))
-
-
-def _encode(out: list) -> bytes:
-    """The joined chunks as bytes; ``out`` is emptied before the encoding so
-    that the chunks, the text and the bytes are never all alive at once."""
-    text = "".join(out)
-    out.clear()
-    return text.encode()
 
 
 def _render_scalar(x) -> str:
@@ -122,7 +123,7 @@ def _render_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _write(obj, pad: str, out: list) -> None:
+def _write(obj, pad: str, out: _Out) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``pad`` is the indentation
     of the line on which ``obj`` starts."""
     if isinstance(obj, dict):
@@ -163,10 +164,10 @@ def _write(obj, pad: str, out: list) -> None:
 
 
 def render_json(payload: dict) -> bytes:
-    out: list[str] = []
+    out = _Out()
     _write(payload, "", out)
     out.append("\n")
-    return _encode(out)
+    return out.getvalue()
 
 
 def _csv_cell(x) -> str:
@@ -175,7 +176,8 @@ def _csv_cell(x) -> str:
 
 
 def render_csv(header: list[str], rows) -> bytes:
-    out = [",".join(header)]
+    out = _Out()
+    out.append(",".join(header))
     if _is_float_table(rows):
         out.append("\n")
         _write_table(out, rows, ",".join([_FLOAT] * len(rows[0])), "\n")
@@ -185,7 +187,7 @@ def render_csv(header: list[str], rows) -> bytes:
                 row = row.tolist()
             out.append("\n" + ",".join(map(_csv_cell, row)))
     out.append("\n")
-    return _encode(out)
+    return out.getvalue()
 
 
 def emit(payload: dict, fmt: str = "json", *, stamp: bool = False) -> bytes:

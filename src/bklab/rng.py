@@ -35,12 +35,13 @@ CHUNK = 2048
 PIECE = 2**16  # draws per sampler call of a walk that draws in pieces
 
 # Purpose tags. Distinct tags keep estimators on independent streams; the
-# bound audits require LHS and RHS estimates never to share a stream.
+# bound audits require LHS and RHS estimates never to share a stream.  A tag
+# is never reused, so a retired one (5, 11) leaves a gap and a new one takes
+# a fresh number.
 STREAM_SAMPLE = 1
 STREAM_LASTEXIT = 2
 STREAM_SERIES = 3
 STREAM_LEVY = 4
-STREAM_MEDIAN = 5
 STREAM_MOMENT = 6
 STREAM_SYMCHECK = 7
 STREAM_SPRT = 8

@@ -20,6 +20,7 @@ from bklab.distributions import (
     Gaussian,
     UniformSymmetric,
     abs_mean,
+    bernoulli,
     counterexample_dist,
     moment_xg,
     rademacher,
@@ -204,6 +205,22 @@ def test_sym_transfer_counterexample_moment_is_exact():
     moment = next(r for r in sym_transfer_check(dist, g, PathConfig(256, 400, 3)) if r.name == "sym-moment")
     assert moment.rhs_se == 0.0
     assert moment.rhs == 4.0 * g.claimed_doubling * moment_xg(dist, g).value
+
+
+def test_sym_transfer_measures_deviations_from_zero():
+    # X - X' is centered at 0 whatever the law's mean.  Measured from a
+    # center of 0.7, every star path was censored and a true inequality
+    # read as violated, so a center is refused, and so is a law that is
+    # not centered.
+    with pytest.raises(DomainError, match="deviations from 0"):
+        sym_transfer_check(bernoulli(0.7), power(1), PathConfig(512, 2000, 3, center=0.7), a=0.25)
+    with pytest.raises(PreconditionError, match="not centered"):
+        sym_transfer_check(bernoulli(0.7), power(1), PathConfig(512, 2000, 3), a=0.25)
+    # a centered law that is not symmetric passes every transfer
+    reports = sym_transfer_check(bernoulli(0.75, (-3.0, 1.0)), power(1), QUICK, a=1.0)
+    assert all(r.passed for r in reports)
+    le = {r.name: r for r in reports}["sym-lastexit"]
+    assert max(le.details["censor_rates"]) <= 1e-3
 
 
 def test_sym_transfer_deviation_sandwich():

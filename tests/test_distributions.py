@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from bklab.distributions import (
     abs_mean,
     bernoulli,
     counterexample_dist,
-    median,
     moment_xg,
     normalize_counterexample,
     parse_dist_spec,
@@ -28,7 +28,12 @@ from bklab.distributions import (
     tail,
     truncation_threshold,
 )
-from bklab.errors import DomainError, PrecisionError, UnsupportedOperationError
+from bklab.errors import (
+    DomainError,
+    PrecisionError,
+    PreconditionError,
+    UnsupportedOperationError,
+)
 from bklab.functions import doubling_witness_exp, exponential, power, powlog
 
 ALL_KINDS = [
@@ -106,13 +111,6 @@ def test_moment_xg_takes_one_route_per_law(spec, mode):
     assert moment_xg(parse_dist_spec(spec), power(1), reps=1000).mode == mode
 
 
-class _Skewed(Distribution):
-    """Not symmetric and without closed forms: every audit of it samples."""
-
-    def sample_array(self, gen, n, dtype=np.float64):
-        return gen.random(n).astype(dtype)
-
-
 @pytest.mark.parametrize("size", [True, 2.5, np.float64(100)])
 def test_sizes_must_be_integers(size):
     mc = Symmetrized(Gaussian(1.0))
@@ -121,7 +119,6 @@ def test_sizes_must_be_integers(size):
         lambda: moment_xg(mc, power(1), reps=size),
         lambda: abs_mean(mc, reps=size),
         lambda: tail(mc, 1.0, reps=size),
-        lambda: median(_Skewed(), reps=size),
         lambda: symmetrization_check(mc, reps=size),
     ]
     for call in calls:
@@ -165,12 +162,21 @@ def test_tail_mc_for_symmetrized_pareto():
 
 
 def test_median_conventions():
-    assert median(UniformSymmetric(1.0)) == 0.0
-    assert median(rademacher()) == 0.0
-    assert median(bernoulli(0.9)) == 1.0
-    # empirical fall-back stays near 0 for a symmetric-but-unreduced law
-    d = symmetrize(TwoSidedPareto(3.0))
-    assert median(d) == 0.0  # symmetric kind, analytic convention
+    # symmetric laws give 0, discrete laws their smallest median
+    assert UniformSymmetric(1.0).median_exact() == 0.0
+    assert rademacher().median_exact() == 0.0
+    assert bernoulli(0.9).median_exact() == 1.0
+    assert bernoulli(0.5).median_exact() == 0.0
+    assert symmetrize(TwoSidedPareto(3.0)).median_exact() == 0.0
+
+
+def test_symmetrization_check_needs_a_closed_form_median():
+    class Skewed(Distribution):
+        def sample_array(self, gen, n, dtype=np.float64):
+            return gen.random(n).astype(dtype)
+
+    with pytest.raises(UnsupportedOperationError, match="closed-form median"):
+        symmetrization_check(Skewed(), reps=100)
 
 
 def test_truncation_threshold_examples():
@@ -188,11 +194,54 @@ def test_truncation_threshold_examples():
     assert math.isclose(m, num, rel_tol=1e-9)
 
 
+def test_truncation_threshold_of_atoms_needs_memory_linear_in_atoms():
+    # Sorted suffix sums need the atoms and one ladder chunk; a ladder chunk
+    # of 8192 points broadcast against all 8000 atoms would need 295 MB.
+    d = counterexample_dist(exponential(1.0), 4000)
+    tracemalloc.start()
+    try:
+        t = truncation_threshold(d, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert t == 0.6933404878499779
+
+
+@pytest.mark.parametrize(
+    "spec,rel",
+    [
+        ("rademacher", 1e-15),
+        ("bernoulli:p=0.75,v0=-3,v1=1", 1e-15),
+        ("discrete:-2@0.25;0@0.5;2@0.25", 1e-15),
+        ("counterexample:G=exp,prefix=1000", 1e-12),  # sums of 1000 terms in another order
+    ],
+)
+def test_atom_trunc_moment_matches_direct_sum(spec, rel):
+    d = parse_dist_spec(spec)
+    if isinstance(d, CounterexampleDist):
+        vals, probs = d.atom_values, d.atom_masses
+    else:
+        vals, probs = d.atoms()
+    ts = np.asarray([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 6.0])
+    want = [math.fsum(np.abs(vals) * probs * (np.abs(vals) >= t)) for t in ts]
+    assert d.abs_trunc_moment_exact(ts).tolist() == pytest.approx(want, rel=rel, abs=0)
+
+
 def test_truncation_threshold_validation():
     with pytest.raises(DomainError):
         truncation_threshold(rademacher(), 1.5)
     with pytest.raises(UnsupportedOperationError):
         truncation_threshold(symmetrize(TwoSidedPareto(3.0)), 0.5)
+
+
+@pytest.mark.parametrize(
+    "g,c", [(power(1), "2"), (powlog(1, 1), "3.38629"), (power(0), "1")]
+)
+def test_counterexample_dist_refuses_moderate_g(g, c):
+    # A moderate G has no counterexample law; its doubling constant says so.
+    with pytest.raises(PreconditionError, match=re.escape(f"(G(2t) <= {c} G(t))")):
+        counterexample_dist(g, 100)
 
 
 def test_normalize_counterexample_mass_accounting():

@@ -10,16 +10,11 @@ from scipy.special import zeta
 
 from bklab.bounds import H_GRID
 
-from bklab.errors import (
-    ConditionViolationError,
-    DomainError,
-    SearchExhaustedError,
-)
+from bklab.errors import ConditionViolationError, DomainError
 from bklab.functions import (
     GridSpec,
     ModerateFunction,
     check_tail_condition,
-    counterexample_sequence,
     doubling_ratio_sup,
     doubling_witness_exp,
     exponential,
@@ -179,7 +174,6 @@ def test_h_scaling_constant_memory():
         lambda: check_tail_condition(power(1), 2.0),
         lambda: GridSpec(1.0, 2.0, 2.5),
         lambda: GridSpec(1.0, 2.0, 1),
-        lambda: counterexample_sequence(exponential(1.0), 2.5, 10.0),
         lambda: doubling_witness_exp(1.0, 2.5),
     ],
 )
@@ -194,31 +188,6 @@ def test_h_scaling_constant_dominates_majorant():
     c = h_scaling_constant(g, 2, grid)
     for n in (1, 3, 10, 100, 1000):
         assert c * g.eval(float(n)) >= h_majorant(g, 2, n) - 1e-9
-
-
-def test_counterexample_sequence_exp():
-    g = exponential(1.0)
-    ts = counterexample_sequence(g, 5, 100.0)
-    assert np.all(np.diff(ts) > 0)
-    # defining inequality re-checked through eval
-    for n, t in enumerate(ts, start=1):
-        assert g.eval(2.0 * t) >= n * g.eval(t) * (1 - 1e-12)
-    # minimality: t_3 sits within one grid step of log 3
-    assert math.log(3.0) <= ts[2] <= math.log(3.0) * 1.011
-
-
-def test_counterexample_sequence_n1_any_point():
-    ts = counterexample_sequence(exponential(1.0), 1, 10.0)
-    assert ts[0] == pytest.approx(1e-3)
-
-
-def test_counterexample_sequence_moderate_fails():
-    # the doubling ratio of (1+t)^2 stays strictly below 4, so the search
-    # cannot reach index 4; the error carries the last index achieved
-    with pytest.raises(SearchExhaustedError) as exc:
-        counterexample_sequence(power(2), 5, 1e6)
-    assert exc.value.achieved < 5
-    assert len(exc.value.partial) == exc.value.achieved
 
 
 def test_doubling_witness_exp():

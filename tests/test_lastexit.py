@@ -10,9 +10,8 @@ from bklab.distributions import (
     UniformSymmetric,
     bernoulli,
     rademacher,
-    sample,
 )
-from bklab.errors import DataError, DomainError, PreconditionError
+from bklab.errors import DomainError, PreconditionError
 from bklab.functions import power
 from bklab.lastexit import (
     PathConfig,
@@ -21,53 +20,36 @@ from bklab.lastexit import (
     estimate_series,
     exact_dev_prob,
     last_exit_samples,
-    last_exit_time,
     levy_maximal_check,
     tail_prob_mean,
 )
 
 
-def test_last_exit_time_spec_cases():
-    s = last_exit_time([1.0, 0.6, 0.3, 0.1], 0.5)
-    assert s.value == 2 and s.censored  # 2 >= 4/2 puts it in the final block
-    s = last_exit_time([0.1, -0.2, 0.3, 0.05], 0.5)
-    assert s.value == 0 and not s.censored
-    s = last_exit_time([0.1, 0.1, 0.1, 0.9], 0.5)
-    assert s.value == 4 and s.censored
+def test_last_exit_nonincreasing_in_a():
+    # On every path, the last exit at a higher level comes no later.
+    cfg = PathConfig(500, 300, 3)
+    values = [last_exit_samples(Gaussian(1.0), a, cfg).values for a in (0.1, 0.2, 0.4, 0.8, 1.6)]
+    assert all(np.all(x >= y) for x, y in zip(values, values[1:]))
 
 
-def test_last_exit_time_validation():
-    with pytest.raises(DomainError):
-        last_exit_time([1.0], 0.0)
-    with pytest.raises(DomainError):
-        last_exit_time([], 1.0)
-    with pytest.raises(DataError):
-        last_exit_time([1.0, float("nan")], 0.5)
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_scaling_identity_pathwise(a):
+    # L at level a for (X_n) equals L at level 1 for (X_n / a): Gaussian(1/a)
+    # scales the same draws by a power of two, which is exact.
+    cfg = PathConfig(500, 300, 21)
+    plain = last_exit_samples(Gaussian(1.0), a, cfg)
+    scaled = last_exit_samples(Gaussian(1.0 / a), 1.0, cfg)
+    assert np.array_equal(plain.values, scaled.values)
 
 
-def test_last_exit_time_nonincreasing_in_a():
-    gen = np.random.Generator(np.random.Philox(3))
-    path = np.cumsum(gen.normal(size=200)) / np.arange(1, 201)
-    values = [last_exit_time(path, a).value for a in (0.1, 0.2, 0.4, 0.8, 1.6)]
-    assert all(x >= y for x, y in zip(values, values[1:]))
-
-
-def test_scaling_identity_pathwise():
-    # L at level a for (X_n) equals L at level 1 for (X_n / a)
-    xs = sample(Gaussian(1.0), 21, 500)
-    for a in (0.5, 2.0):
-        u = np.cumsum(xs) / np.arange(1, 501)
-        u_scaled = np.cumsum(xs / a) / np.arange(1, 501)
-        assert last_exit_time(u, a).value == last_exit_time(u_scaled, 1.0).value
-
-
-def test_doubling_identity_pathwise():
+@pytest.mark.parametrize("a", [0.25, 0.5])
+def test_doubling_identity_pathwise(a):
     # L at level 2a for (2 X_n) equals L at level a for (X_n)
-    xs = sample(UniformSymmetric(1.0), 22, 500)
-    u = np.cumsum(xs) / np.arange(1, 501)
-    u2 = np.cumsum(2.0 * xs) / np.arange(1, 501)
-    for a in (0.25, 0.5):
-        assert last_exit_time(u2, 2 * a).value == last_exit_time(u, a).value
+    cfg = PathConfig(500, 300, 22)
+    plain = last_exit_samples(UniformSymmetric(1.0), a, cfg)
+    doubled = last_exit_samples(UniformSymmetric(2.0), 2 * a, cfg)
+    assert np.array_equal(plain.values, doubled.values)
+    assert plain.values.any()
 
 
 def test_estimate_constant_g_is_exactly_one():
@@ -247,7 +229,6 @@ def test_exact_dev_prob_rejects_n_below_1(n):
 def test_levels_must_be_finite_and_positive(a):
     gauss = Gaussian(1.0)
     calls = [
-        lambda: last_exit_time([0.5, 0.2], a),
         lambda: last_exit_samples(gauss, a, PathConfig(64, 10)),
         lambda: estimate_series(gauss, power(1), a, 128, 100),
     ]
@@ -290,8 +271,6 @@ def test_series_refuses_profile_made_for_another_call(law, n_max):
 def test_center_must_be_finite(x):
     with pytest.raises(DomainError, match="center must be finite"):
         PathConfig(64, 10, center=x)
-    with pytest.raises(DomainError, match="center must be finite"):
-        last_exit_time([0.5, 0.2], 0.1, x)
 
 
 def _peak_bytes(fn) -> int:
