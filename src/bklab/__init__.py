@@ -55,6 +55,7 @@ from .lastexit import (
     deviation_profile,
     estimate_EG_lastexit,
     estimate_series,
+    last_exit_batches,
     last_exit_samples,
     levy_maximal_check,
     tail_prob_mean,

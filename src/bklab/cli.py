@@ -8,8 +8,9 @@ names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
 ``_theorem1_rows`` is the one place that plans and pools a matrix's
 simulations (per law, the deviation profile if the series reads one and
-one last-exit batch per level); each draws its seed from the root seed and
-its cell coordinates, so reports are identical for any ``--threads``.
+one last-exit walk that serves every level); each draws its seed from the
+root seed and its cell coordinates, so reports are identical for any
+``--threads``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from functools import partial
-from itertools import islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
@@ -44,7 +44,7 @@ from .lastexit import (
     deviation_profile,
     estimate_EG_lastexit,
     estimate_series,
-    last_exit_samples,
+    last_exit_batches,
     needs_profile,
 )
 from .report import DIVERGENT, FINITE, LAST_EXIT, MODERATION, SCHEMA_VERSION, SERIES
@@ -215,6 +215,8 @@ def _exp_moderate_audit(v):
 def _exp_last_exit(v):
     """Estimate E[G(L_a)] for the Cesaro means of a law."""
     cfg = PathConfig(horizon=v.horizon, replicates=v.reps, seed=v.seed, center=v.center)
+    if cfg.center == 0.0:
+        check_centered(v.dist, "; set the deviation center with --center")
     est = estimate_EG_lastexit(v.dist, v.g, v.a, cfg)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -368,7 +370,8 @@ def _exp_sprt_sweep(v):
 def _theorem1_row(dist, g, a_grid, n_max, profile, batches) -> dict:
     """The three equivalence verdicts of one law from its simulations: the
     deviation ``profile`` up to ``n_max`` (None when the series needs none)
-    and one last-exit batch per level of ``a_grid``.
+    and the last-exit ``batches`` of each level of ``a_grid``, all from one
+    walk.
 
     (a) is the moment functional verdict, (b) the series verdict over the
     a-grid, (c) the last-exit integrability verdict from censoring.  The row
@@ -400,8 +403,8 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
     """The Theorem-1 row of each law under one G, law ``i`` simulated from
     ``seeds[i]``.  Every input is checked before the first simulation starts.
     The simulations (per law, the deviation profile if the series reads one,
-    then one last-exit batch per level) run on up to ``threads`` workers,
-    capped at jobs and cores."""
+    then one last-exit walk whose batches serve every level) run on up to
+    ``threads`` workers, capped at jobs and cores."""
     g = parse_function_spec(g_spec)
     dists = [parse_dist_spec(s) for s in dist_specs]
     levels = [float(a) for a in a_grid]
@@ -415,8 +418,9 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
         if profile:
             jobs.append(partial(deviation_profile, dist, n_max, reps_per_block,
                                 _rng.derive_seed(seed, 71), stream=71))
-        jobs += [partial(last_exit_samples, dist, a, PathConfig(horizon, reps, _rng.derive_seed(seed, 72, k)))
-                 for k, a in enumerate(levels)]
+        # (72, 0) is the stream that the first level walked on its own
+        jobs.append(partial(last_exit_batches, dist, levels,
+                            PathConfig(horizon, reps, _rng.derive_seed(seed, 72, 0))))
     # The pool runs simulations, not laws: a law's simulations cost about
     # the same, while whole laws differ in cost and are few.
     workers = min(threads, len(jobs), os.cpu_count() or 1)
@@ -425,8 +429,7 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
             results = iter(list(pool.map(lambda job: job(), jobs)))
     else:
         results = iter([job() for job in jobs])
-    return [_theorem1_row(dist, g, levels, n_max, next(results) if profile else None,
-                          list(islice(results, len(levels))))
+    return [_theorem1_row(dist, g, levels, n_max, next(results) if profile else None, next(results))
             for dist, profile in zip(dists, profiled)]
 
 

@@ -9,14 +9,18 @@ stream layout into path indices: replicate blocks on their own substreams,
 consumed in step chunks with running sums only, so results are identical
 for a fixed seed however workers schedule the blocks.  Draws fill one
 float32 buffer in cache-sized pieces of ``rng.PIECE``.  Every walk holds one
-tile of ``_TILE`` paths by one chunk; the last-exit scan adds buffers for one
-tile by one segment (about 1.7 MB).  Beyond that a call holds its per-path
-state and the sampler's temporaries for one piece.
+tile of ``_TILE`` paths by one chunk (2 MiB); the last-exit scan adds
+buffers for one tile by one segment (about 0.9 MB).  Beyond that a call
+holds its per-path state and the sampler's temporaries for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
 censored, and estimates refuse a clean verdict when the censor rate exceeds
-``CENSOR_BOUND``.
+``CENSOR_BOUND``.  L_a is pathwise, so ``last_exit_batches`` scans one walk
+for a whole grid of levels: the exclusion bound uses the smallest level, and
+every level reads the same running sums.  A segment that a larger level
+alone would have skipped holds no deviation at that level, so each batch
+matches a walk at its level alone (``last_exit_samples``) on the same stream.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .functions import ModerateFunction
 from .report import DIVERGENT, FINITE, SERIES, Verdict
 
 _SEG_STEPS = 256
-_TILE = 512  # paths per tile of every walk
+_TILE = 256  # paths per tile of every walk
 CENSOR_BOUND = 1e-3  # censor rate above which a moment estimate is flagged
 HEAD = 64  # series terms n <= HEAD are summed one by one, the rest in dyadic blocks
 
@@ -85,10 +89,14 @@ def check_level(a: float) -> None:
         raise DomainError(f"a must be finite and positive, got {a!r}")
 
 
-def check_centered(dist: Distribution) -> None:
-    """Refuse a law with a nonzero mean, whose deviations from 0 only grow."""
-    if abs(dist.mean()) > 1e-9:
-        raise PreconditionError(f"{dist.name} is not centered; supply the deviation center explicitly")
+def check_centered(dist: Distribution, remedy: str = "") -> None:
+    """Refuse a law with a nonzero mean, whose deviations from 0 only grow;
+    ``remedy`` ends the message, for a caller that can take another center."""
+    mean = dist.mean()
+    if abs(mean) > 1e-9:
+        raise PreconditionError(
+            f"{dist.name} is not centered (mean {mean:g}) and deviations are measured from 0{remedy}"
+        )
 
 
 def check_profile(n_max: int, reps: int) -> None:
@@ -125,14 +133,21 @@ def _f32(dist: Distribution):
     return draw
 
 
-def last_exit_samples(
-    dist: Distribution, a: float, cfg: PathConfig, *, stream: int = 0
-) -> LastExitBatch:
-    """Last-exit times of U_n = S_n/n from cfg.center at level a, one per
-    replicate, measured up to the horizon."""
-    check_level(a)
+def last_exit_batches(
+    dist: Distribution, levels, cfg: PathConfig, *, stream: int = 0
+) -> list[LastExitBatch]:
+    """Last-exit times of U_n = S_n/n from cfg.center at each of ``levels``,
+    one per replicate, measured up to the horizon, all from one walk: L_a is
+    pathwise, so the levels share the paths and the scan's running sums, and
+    a last exit never grows with the level."""
+    levels = tuple(levels)
+    if not levels:
+        raise DomainError("last_exit_batches needs at least one level")
+    for a in levels:
+        check_level(a)
+    a_min = min(levels)
     horizon, reps, x = cfg.horizon, cfg.replicates, cfg.center
-    values, running = np.zeros(reps, dtype=np.int64), np.zeros(reps)
+    values, running = np.zeros((len(levels), reps), dtype=np.int64), np.zeros(reps)
     # Scan buffers for one tile of paths by one segment.
     tile = min(reps, _TILE)
     l1_buf = np.empty(tile)
@@ -141,21 +156,22 @@ def last_exit_samples(
     dev_buf = np.empty((tile, _SEG_STEPS), dtype=bool)
     key = _rng.STREAM_LASTEXIT, stream
     for paths, n0, draws in _rng.paths(_f32(dist), reps, horizon, cfg.seed, *key, rows=_TILE):
-        run, last = running[paths], values[paths]
+        run, last = running[paths], values[:, paths]
         k, steps = draws.shape
         # Per-segment exclusion: within a segment starting at m0,
         # |S_n - x n| <= |S_{m0-1}| + sum_seg|X_k| + |x| n; when that stays
-        # below a*m0 the segment cannot contain a deviation and only the
-        # carry is needed.  The |X| pass runs only if the carry alone leaves
-        # room, which is the same decision, as fl(|r| + l) >= |r|.
+        # below a*m0 at the smallest level the segment cannot contain a
+        # deviation at any level and only the carry is needed.  The |X| pass
+        # runs only if the carry alone leaves room, which is the same
+        # decision, as fl(|r| + l) >= |r|.
         for j0 in range(0, steps, _SEG_STEPS):
             j1 = min(j0 + _SEG_STEPS, steps)
             seg, w = draws[:, j0:j1], j1 - j0
             m0, m_hi = n0 + j0, n0 + j1 - 1
-            reach, level = abs(x) * m_hi, a * m0
-            if float(np.abs(run).max()) + reach < level:
+            reach, bound = abs(x) * m_hi, a_min * m0
+            if float(np.abs(run).max()) + reach < bound:
                 l1 = np.abs(seg, out=abs_buf[:k, :w]).sum(axis=1, dtype=np.float64, out=l1_buf[:k])
-                if float((np.abs(run) + l1).max()) + reach < level:
+                if float((np.abs(run) + l1).max()) + reach < bound:
                     run += seg.sum(axis=1, dtype=np.float64)
                     continue
             ns = np.arange(m0, m_hi + 1, dtype=float)
@@ -165,13 +181,23 @@ def last_exit_samples(
             # run holds the carry, so cums is free to overwrite
             if x != 0.0:
                 cums -= x * ns
-            dev = np.greater_equal(np.abs(cums, out=cums), a * ns, out=dev_buf[:k, :w])
-            hit = dev.any(axis=1)
-            if hit.any():
-                lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
-                np.copyto(last, m0 + lastpos, where=hit)
+            np.abs(cums, out=cums)
+            for a, row in zip(levels, last):
+                dev = np.greater_equal(cums, a * ns, out=dev_buf[:k, :w])
+                hit = dev.any(axis=1)
+                if hit.any():
+                    lastpos = w - 1 - np.argmax(dev[:, ::-1], axis=1)
+                    np.copyto(row, m0 + lastpos, where=hit)
     censored = (values >= horizon / 2.0) & (values >= 1)
-    return LastExitBatch(values, censored)
+    return [LastExitBatch(v, c) for v, c in zip(values, censored)]
+
+
+def last_exit_samples(
+    dist: Distribution, a: float, cfg: PathConfig, *, stream: int = 0
+) -> LastExitBatch:
+    """Last-exit times of U_n = S_n/n from cfg.center at level a, one per
+    replicate, measured up to the horizon: ``last_exit_batches`` at one level."""
+    return last_exit_batches(dist, (a,), cfg, stream=stream)[0]
 
 
 def estimate_EG_lastexit(

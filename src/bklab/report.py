@@ -5,11 +5,14 @@ walk it once and append each string chunk, encoded, to one byte buffer,
 whose bytes they return without a copy, so a render peaks near the size of
 its output.  numpy scalars and arrays are converted where the walk meets
 them (arrays through ``tolist``), so the payload is never copied.  A float
-table is rendered with one precomputed ``%.17g`` row template, ``_BATCH``
-rows at a time, straight from the array without ``tolist``; every list is
-rendered element by element.  A float table is a non-empty 2-D float64
-array of finite values (the counterexample atoms).  Both paths give the
-same bytes.
+table is rendered with one precomputed ``%.17g`` bytes row template,
+``_BATCH`` rows at a time, straight from the array without ``tolist``;
+every list is rendered element by element.  A float table is a non-empty
+2-D float64 array of finite values (the counterexample atoms).  Both paths
+give the same bytes.  Before a float table the buffer moves, once, into
+room for the table's longest possible text, so it never grows, and never
+moves, while the table is written: the render holds its output and one
+batch, whatever the allocator did before.
 
 What the output guarantees, for a given payload:
 
@@ -67,7 +70,8 @@ DOUBLING = _verdicts("bounded-consistent", "unbounded-growth-detected")  # G(2t)
 MODERATION = _verdicts("moderate-consistent", "non-moderate-evidence")
 
 _FLOAT = "%.17g"
-_BATCH = 4096  # rows of a float table formatted per chunk
+_CELL = 24  # the longest _FLOAT text of a finite float64, as in -1.2345678901234567e-308
+_BATCH = 1024  # rows of a float table formatted per chunk
 
 
 def _plain(x):
@@ -87,21 +91,44 @@ def _is_float_table(rows) -> bool:
             and rows.size > 0 and bool(np.isfinite(rows).all()))
 
 
-class _Out(io.BytesIO):
-    """The output buffer of a render: ``append`` writes a text chunk encoded."""
+class _Out:
+    """The output buffer of a render: ``append`` writes a text chunk encoded,
+    ``write`` a bytes chunk, and ``getvalue`` hands the bytes over."""
+
+    def __init__(self):
+        self._buf = io.BytesIO()
 
     def append(self, chunk: str) -> None:
-        self.write(chunk.encode())
+        self._buf.write(chunk.encode())
+
+    def write(self, chunk: bytes) -> None:
+        self._buf.write(chunk)
+
+    def reserve(self, n: int) -> None:
+        """Move what is written into one buffer with room for ``n`` more bytes.
+        A BytesIO made from a bytes object that nothing else holds writes
+        into it in place, and ``bytes(k)`` is allocated zeroed, which leaves
+        fresh pages untouched until a write reaches them."""
+        old, size = self._buf, self._buf.tell()
+        self._buf = io.BytesIO(bytes(size + n))
+        self._buf.write(old.getbuffer()[:size])
+
+    def getvalue(self) -> bytes:
+        self._buf.truncate()  # drop the unused room of a reserve
+        return self._buf.getvalue()
 
 
 def _write_table(out: _Out, rows, row: str, sep: str) -> None:
     """Append the float table ``rows`` to ``out``, each row filled into the
     ``row`` template and rows joined by ``sep``, ``_BATCH`` rows at a time."""
+    row, sep = row.encode(), sep.encode()
+    longest = len(row) + rows.shape[1] * (_CELL - len(_FLOAT))
+    out.reserve(len(rows) * (longest + len(sep)))
     for i in range(0, len(rows), _BATCH):
         part = rows[i:i + _BATCH]
         if i:
-            out.append(sep)
-        out.append(sep.join([row] * len(part)) % tuple(np.ravel(part).tolist()))
+            out.write(sep)
+        out.write(sep.join([row] * len(part)) % tuple(np.ravel(part).tolist()))
 
 
 def _render_scalar(x) -> str:

@@ -175,7 +175,7 @@ PATHS_MATRIX = ["theorem1-matrix", "--dists",
                 "gaussian:sigma=1,uniform:w=1,pareto2:beta=4,pareto2:beta=1.5",
                 "--g", "power:r=1", "--a-grid", "0.25,0.5,1", "--reps", "4000",
                 "--horizon", "2048", "--n-max", "4096", "--reps-per-block", "2000"]
-PATHS_MATRIX_PIN = ("a450dc3982460085cd59e17136f12a8da60817ba55ad8ed0421f78a5309b1770", 0)
+PATHS_MATRIX_PIN = ("44aff0340c1f07bf54440ccb4565fa1b7568a40651be8b9a742adf5079aa99c2", 0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -192,7 +192,7 @@ ROW_SIZES = dict(a_grid=(0.25, 0.5, 1.0), reps=3000, horizon=2**10, n_max=2**11,
 ROW_PINS = {
     "rademacher": "2f4f1a99659b8f8223c39a9d709cad48093efd1a57f53241a972dfd03331af32",
     "gaussian:sigma=1": "ab1254f154981a7ebdfd2384c3bc73df2e3f4320cceb08e10656624d455c4bda",
-    "pareto2:beta=1.5": "016400a753676c495757e99845f6c9d4da90405bfc54034b2765268deb92c677",
+    "pareto2:beta=1.5": "d344c856788d1f23819a9b59ca71fbb484766f449f10cb13b3e344093be7454b",
     "bernoulli:p=0.75,v0=-3,v1=1": "d006552e9593ea877db74bad13351294f0e7297641add4e0d2c92b29ffaaacba",
 }
 

@@ -288,7 +288,7 @@ def _peak_bytes(fn) -> int:
 def test_simulations_hold_one_step_chunk(dist):
     # One chunk is 4096 paths by 2048 float32 steps for last-exit, the tail
     # and the Levy check, 2000 by 2048 for the profile; a simulation may add
-    # little beyond it.  Last-exit holds one 512-path tile by one chunk (1/8
+    # little beyond it.  Last-exit holds one 256-path tile by one chunk (1/16
     # chunk) and scan buffers for one tile by one 256-step segment.
     cfg = PathConfig(2048, 4096, 1)
     peak = _peak_bytes(lambda: last_exit_samples(dist, 0.25, cfg))

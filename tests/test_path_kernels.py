@@ -18,8 +18,10 @@ exclusion bound skips no segment; these cases use a in {0.25, 0.5, 1}, so
 the skip branch, the carry of the running sums and the scan all run, with
 4100 paths (two replicate blocks) and horizons that end on a chunk boundary
 (2048) and inside a chunk (2500); last-exit also runs 4796 paths, whose
-second block is one full tile and a short one, and the tail and Levy audits
-also run 300 steps, less than one chunk.
+second block is two full tiles and a short one, and the tail and Levy audits
+also run 300 steps, less than one chunk.  ``last_exit_batches`` scans one
+walk for a grid of levels; each level's batch must have the bits of
+``last_exit_samples`` at that level.
 """
 
 import math
@@ -37,6 +39,7 @@ from bklab.distributions import (
     bernoulli,
     rademacher,
 )
+from bklab.errors import DomainError
 from bklab.lastexit import (
     _SEG_STEPS,
     _TILE,
@@ -45,6 +48,7 @@ from bklab.lastexit import (
     TailProbEstimate,
     _f32,
     deviation_profile,
+    last_exit_batches,
     last_exit_samples,
     levy_maximal_check,
     tail_prob_mean,
@@ -235,7 +239,7 @@ def test_two_atom_cut_is_exact_on_the_float32_grid(k, frac):
     _same_bits(dist.sample_array(_Uniforms(u), u.size, np.float32), want)
 
 
-@pytest.mark.parametrize("reps", [REPS, 4096 + _TILE + 188])
+@pytest.mark.parametrize("reps", [REPS, 4096 + 2 * _TILE + 188])
 @pytest.mark.parametrize("center", [0.0, 0.3])
 @pytest.mark.parametrize("horizon", [2048, 2500])
 @pytest.mark.parametrize(
@@ -261,6 +265,42 @@ def test_last_exit_samples_matches_reference(law, horizon, center, reps):
         values, censored = ref_last_exit_samples(dist, a, cfg)
         _same_bits(batch.values, values)
         _same_bits(batch.censored, censored)
+
+
+BATCH_LAWS = ["gaussian-1", "gaussian-2.5", "uniform-1", "pareto2-1.5", "pareto2-1", "pareto2-4",
+              "triangular", "rademacher", "bernoulli-0.75"]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("reps,horizon", [(700, 2048), (REPS, 2500), (4096 + 2 * _TILE + 188, 1024)])
+@pytest.mark.parametrize("law", BATCH_LAWS)
+def test_last_exit_batches_match_one_level_scans(law, reps, horizon, seed):
+    # One walk for every level, its exclusion bound at the smallest level,
+    # must give each level the bits of a scan at that level alone; the grid
+    # is out of order and repeats a level, and the center is nonzero for
+    # one seed.  Last exits never grow with the level, as the levels share
+    # the running sums.
+    dist, levels = LAWS[law], (0.5, 0.25, 1.0, 0.5)
+    cfg = PathConfig(horizon, reps, seed, 0.3 if seed == 11 else 0.0)
+    batches = last_exit_batches(dist, levels, cfg)
+    assert len(batches) == len(levels)
+    for a, batch in zip(levels, batches):
+        one = last_exit_samples(dist, a, cfg)
+        _same_bits(batch.values, one.values)
+        _same_bits(batch.censored, one.censored)
+    by_level = [batches[i].values for i in np.argsort(levels, kind="stable")]
+    for low, high in zip(by_level, by_level[1:]):
+        assert (high <= low).all()
+
+
+@pytest.mark.parametrize("levels", [(), (0.5, 0.0), (-1.0,), (math.nan, 0.5), (0.5, math.inf)])
+def test_last_exit_batches_refuse_bad_levels_before_any_draw(levels, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a path was drawn before the levels were checked")
+
+    monkeypatch.setattr(rng, "paths", no_walk)
+    with pytest.raises(DomainError):
+        last_exit_batches(LAWS["gaussian-1"], levels, PathConfig(64, 10))
 
 
 @pytest.mark.parametrize("size", [4096, 700, 4])

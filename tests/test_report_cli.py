@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bklab import cli, rng
+from bklab import cli, report, rng
 from bklab.bounds import BoundReport
 from bklab.cli import main, run_experiment, theorem1_row
 from bklab.errors import ConfigurationError
@@ -444,15 +444,15 @@ def test_cli_csv_without_csv_form_exits_2(tmp_path, kind, args):
 
 @pytest.mark.parametrize(
     "threads,cells,levels,cores,expected",
-    [(64, 2, 3, 8, 8), (64, 5, 3, 3, 3), (2, 5, 3, 8, 2), (4, 1, 3, 8, 4), (8, 1, 1, 8, 2),
-     (1, 3, 3, 8, None), (4, 4, 3, 1, None)],
+    [(64, 2, 3, 8, 4), (64, 5, 3, 3, 3), (2, 5, 3, 8, 2), (4, 1, 3, 8, 2), (8, 1, 1, 8, 2),
+     (64, 6, 3, 16, 12), (1, 3, 3, 8, None), (4, 4, 3, 1, None)],
 )
 def test_matrix_pool_capped_at_simulations_and_cores(
     monkeypatch, threads, cells, levels, cores, expected
 ):
-    """The pool runs each cell's deviation profile and its last-exit batch per
-    level, so it sees cells * (1 + levels) jobs and holds at most that many
-    workers, and no more than threads and cores."""
+    """The pool runs each cell's deviation profile and its one last-exit walk,
+    which serves every level, so it sees cells * 2 jobs and holds at most
+    that many workers, and no more than threads and cores."""
     sizes, jobs = [], []
 
     class RecordingPool:
@@ -474,8 +474,8 @@ def test_matrix_pool_capped_at_simulations_and_cores(
     def fake_profile(dist, n_max, reps, seed, *, stream):
         return ("profile", dist.spec_string())
 
-    def fake_batch(dist, a, cfg):
-        return ("batch", dist.spec_string(), a)
+    def fake_batches(dist, levels, cfg):
+        return [("batch", dist.spec_string(), a) for a in levels]
 
     def fake_row(dist, g, a_grid, n_max, profile, batches):
         assert profile == ("profile", dist.spec_string())
@@ -485,7 +485,7 @@ def test_matrix_pool_capped_at_simulations_and_cores(
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "deviation_profile", fake_profile)
-    monkeypatch.setattr(cli, "last_exit_samples", fake_batch)
+    monkeypatch.setattr(cli, "last_exit_batches", fake_batches)
     monkeypatch.setattr(cli, "_theorem1_row", fake_row)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     dists = [f"uniform:w={k + 1}" for k in range(cells)]
@@ -494,7 +494,7 @@ def test_matrix_pool_capped_at_simulations_and_cores(
                                     "g": "power:r=1", "a_grid": a_grid, "threads": threads})
     assert code == 0 and [r["dist"] for r in payload["rows"]] == dists
     assert sizes == ([] if expected is None else [expected])
-    assert len(jobs) == (0 if expected is None else cells * (1 + levels))
+    assert len(jobs) == (0 if expected is None else cells * 2)
 
 
 _MATRIX_SIZES = {"--dists": "rademacher,gaussian:sigma=1", "--a-grid": "0.5,1", "--reps": "100",
@@ -520,7 +520,7 @@ def test_matrix_refuses_bad_input_before_any_simulation(monkeypatch, threads, op
         raise AssertionError("a simulation started before the inputs were checked")
 
     monkeypatch.setattr(cli, "deviation_profile", recorder)
-    monkeypatch.setattr(cli, "last_exit_samples", recorder)
+    monkeypatch.setattr(cli, "last_exit_batches", recorder)
     sizes = dict(_MATRIX_SIZES, **{option: value})
     args = ["--threads", str(threads), "theorem1-matrix", "--g", "power:r=1"]
     res = CliRunner().invoke(main, args + [f"{k}={v}" for k, v in sizes.items()])
@@ -695,6 +695,8 @@ def _tables():
     big = np.random.default_rng(3).standard_normal((4097, 3)) * 1e3
     return {
         "edge": edge,
+        # every cell as long as a %.17g text gets: the reserved room fills up
+        "longest": np.full((1030, 2), -2.2250738585072014e-308),
         "rows_4097": big,
         "transposed": big[:40].T,
         "strided": big[::3, ::2],
@@ -716,6 +718,12 @@ def test_float_tables_match_reference(name):
     _assert_same_bytes({"table": table, "after": 1.5, "csv_header": ["a", "b"],
                         "csv_rows": table})
     _assert_same_bytes({"nested": [{"table": table}, table]})
+
+
+def test_float_table_room_covers_the_longest_cell():
+    cells = [-2.2250738585072014e-308, -5e-324, -1.2345678901234567e-300, -1.2345678901234567e16,
+             -1.2345678901234567e17, -0.00012345678901234567, -0.99999999999999989, -1.0 / 3.0]
+    assert max(len(report._FLOAT % x) for x in cells) == report._CELL
 
 
 # sha256 of the JSON and CSV reports of the counterexample law at seed 7
@@ -887,11 +895,12 @@ def test_sprt_run_simulate_draws_a_chunk_at_a_time(tmp_path, monkeypatch):
 
 
 # The exact head covers n <= 64 (``lastexit.needs_profile``), so this matrix reads
-# no deviation profile; the digest was recorded while it still simulated one.
+# no deviation profile; its first level's censor rate is the one it had when
+# it still simulated a profile and walked each level on its own paths.
 LATTICE_HEAD_MATRIX = ["theorem1-matrix", "--dists", "rademacher", "--g", "power:r=1",
                        "--n-max", "64", "--reps", "200", "--horizon", "64",
                        "--reps-per-block", "400"]
-LATTICE_HEAD_PIN = ("411e4823f8f7dfcd3a58c2a81d3ab1581b8ba0ec906700adb1b49486eb82996e", 1)
+LATTICE_HEAD_PIN = ("43b73a16b8111cbbdf936aed400cd59355915c8dc1939893ec77bef8eee8f897", 1)
 
 
 def test_matrix_skips_a_profile_the_exact_head_makes_unread(monkeypatch):
@@ -901,6 +910,31 @@ def test_matrix_skips_a_profile_the_exact_head_makes_unread(monkeypatch):
     monkeypatch.setattr(cli, "deviation_profile", recorder)
     res = CliRunner().invoke(main, LATTICE_HEAD_MATRIX)
     assert (hashlib.sha256(res.stdout_bytes).hexdigest(), res.exit_code) == LATTICE_HEAD_PIN
+
+
+_UNCENTERED = "bernoulli is not centered (mean 0.7) and deviations are measured from 0"
+
+
+@pytest.mark.parametrize("args,hint", [
+    (["last-exit", "--dist", "bernoulli:p=0.7", "--a", "1", "--horizon", "16", "--reps", "10"],
+     "; set the deviation center with --center"),
+    (["bounds", "--prop", "sym", "--dist", "bernoulli:p=0.7", "--horizon", "16", "--reps", "10"], ""),
+    (["bounds", "--prop", "1", "--dist", "bernoulli:p=0.7", "--horizon", "16", "--reps", "10"], ""),
+    (["theorem1-matrix", "--dists", "rademacher,bernoulli:p=0.7", "--reps", "10", "--horizon", "16",
+      "--n-max", "64", "--reps-per-block", "10"], ""),
+])
+def test_cli_uncentered_law_names_center_only_where_it_exists(args, hint):
+    # Only the last-exit kind has a center field; the others measure from 0.
+    res = CliRunner().invoke(main, args + ["--g", "power:r=1"])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {_UNCENTERED}{hint}\n"
+
+
+def test_cli_last_exit_runs_from_the_center_it_names():
+    res = CliRunner().invoke(main, ["last-exit", "--dist", "bernoulli:p=0.7", "--g", "power:r=1",
+                                    "--a", "1", "--horizon", "16", "--reps", "10",
+                                    "--center", "0.7"])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("g,c", [("power:r=1", "2"), ("powlog:r=1,s=1", "3.38629")])

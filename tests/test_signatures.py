@@ -52,6 +52,7 @@ SIGNATURES = {
     "exponential": ("b",),
     "h_majorant": ("g", "p", "n"),
     "h_scaling_constant": ("g", "p", "grid"),
+    "last_exit_batches": ("dist", "levels", "cfg", "stream"),
     "last_exit_samples": ("dist", "a", "cfg", "stream"),
     "levy_maximal_check": ("dist", "m", "t", "reps", "seed"),
     "moment_xg": ("dist", "g", "arg_scale", "reps", "seed"),
