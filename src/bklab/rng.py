@@ -16,7 +16,11 @@ the last chunk may be shorter.  Generator fills are sequential, so a chunk
 may be drawn as consecutive tiles of rows, one ``draw`` each, with the same
 draws and generator state.  ``paths`` composes blocks, chunks and tiles, the
 one place that turns them into path indices; ``walk`` reads one generator in
-chunks drawn whole.  Any change to the layout changes every simulated report
+chunks drawn whole.  The Wald runs read a block one step of every path
+after another, the layout of ``walk(..., chunk=1)``; ``step_major`` reads
+those draws in chunks of steps, each one ``draw(gen, steps * size)``
+reshaped to ``(steps, size)``, with the same draws because fills
+concatenate.  Any change to the layout changes every simulated report
 for a fixed seed.  ``PIECE`` = 2^16 draws is the size of one sampler call
 that keeps the sampler's temporaries cache-sized.
 """
@@ -110,3 +114,13 @@ def walk(draw, size: int, gen: Generator, n_steps: int, chunk: int = CHUNK):
     for n0 in range(1, n_steps + 1, chunk):
         steps = min(chunk, n_steps - n0 + 1)
         yield n0, draw(gen, size * steps).reshape(size, steps)
+
+
+def step_major(draw, size: int, gen: Generator, n_steps: int, chunk: int):
+    """``(n0, x)`` for consecutive step chunks of ``size`` paths on ``gen``,
+    each drawn whole and laid out step-major: ``x[j, r]`` is step ``n0 + j``
+    of path ``r``.  These are the draws of ``walk(..., chunk=1)``, one step
+    of every path after another, read ``chunk`` steps at a time."""
+    for n0 in range(1, n_steps + 1, chunk):
+        steps = min(chunk, n_steps - n0 + 1)
+        yield n0, draw(gen, steps * size).reshape(steps, size)

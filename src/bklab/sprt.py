@@ -7,13 +7,19 @@ rho_i does not depend on when the test stops.  So the test stops at the
 (m-1)-th smallest passage, tau = min_i max_{j != i} rho_j, and decides for
 the hypothesis whose passage is largest or still pending, with ties broken
 toward the smallest index.  ``run_test`` and ``simulate_runs`` share this
-rule: ``_passages`` and then ``_decide``.
+rule: ``_passages`` and then ``_decide``.  ``_passages`` reads steps in
+chunks, step-major, and works on the runs that are still live alone: per
+chunk it cumulates their log ratios down the steps, takes each new first
+passage from the chunk, and drops the runs that have stopped.
+``simulate_runs`` reads 8 steps per chunk, ``run_test`` one observation.
 
 The reference defaults to the uniform mixture of the candidates, which is
 locally equivalent to each of them and keeps the log ratios bounded below;
-it can be overridden.  All arithmetic is in log space.  A run is strictly
-sequential in n (no observation after tau is read); replicated runs follow
-the stream layout of ``rng``, block by block in ``simulate_runs``.
+it can be overridden.  All arithmetic is in log space, with the adds of a
+step-by-step walk in its order, so chunking moves no bit.  A run is
+strictly sequential in n (no observation after tau is read); replicated
+runs follow the stream layout of ``rng``, block by block in
+``simulate_runs``, which draws every run's symbol at every step it reads.
 
 Ville's bound P_i[sup_n R^i_n >= c] <= 1/c is a statement about one number
 per path, its peak of log R^i, and the walk that finds it does not depend
@@ -39,6 +45,7 @@ from .functions import ModerateFunction
 
 _HORIZON_FACTOR = 6.0  # a sweep row runs for 6 n* + 64 steps,
 _MIN_HORIZON = 256  # but at least 256
+_CHUNK = 8  # steps per chunk of ``simulate_runs``; 16 saved little and held twice the memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +178,10 @@ class HypothesisSet:
 
 
 def _log_levels(levels, m: int) -> np.ndarray:
-    """log c_i of the ``m`` per-hypothesis levels, each > 1 (+inf never
-    rejects); a scalar level serves every hypothesis."""
-    values = [float(levels)] * m if np.isscalar(levels) else [float(v) for v in levels]
+    """log c_i of the ``m`` per-hypothesis levels, each > 1 (+inf rejects
+    only on a symbol outside the candidate's support, where log R^i = +inf);
+    a scalar level, a 0-d array included, serves every hypothesis."""
+    values = [float(levels)] * m if np.ndim(levels) == 0 else [float(v) for v in levels]
     if any(not v > 1.0 for v in values):
         raise ConfigurationError("every level must exceed 1")
     if len(values) != m:
@@ -193,22 +201,43 @@ class DecisionRecord:
     log_ratios_at_tau: tuple
 
 
-def _passages(inc, logc, steps, runs: int):
+def _passages(inc, logc, chunks, runs: int):
     """First passages ``rho`` (m, runs) of log R^i over ``logc[i]``, 0 while
-    none, and the log ratios at the last step read.  ``steps`` gives each
-    step's symbol index per run; reading stops once every run has m - 1
-    passages, i.e. has stopped."""
+    none, and the log ratios at the last step read.  ``chunks`` gives
+    ``(n0, ys)`` per chunk of steps, step-major: ``ys[j, r]`` is the symbol
+    index of step ``n0 + j`` of run ``r``.  A run that has m - 1 passages,
+    i.e. has stopped, leaves the live set after its chunk, and reading stops
+    once no run is live.
+
+    A chunk works on the live runs alone.  Their log ratios are added to the
+    chunk's first step and cumulated down the steps, one add per step in the
+    order of a step-by-step walk, so every log ratio has its bits; a
+    hypothesis with no passage yet takes its first crossing in the chunk."""
     m = len(logc)
-    log_r = np.zeros((m, runs))
     rho = np.zeros((m, runs), dtype=np.int64)
-    for n, ys in enumerate(steps, 1):
-        log_r += inc[:, ys]
-        hit = log_r >= logc[:, None]
-        hit &= rho == 0
-        if hit.any():
-            rho[hit] = n
-            if (np.count_nonzero(rho, axis=0) >= m - 1).all():
-                break
+    log_r = np.zeros((m, runs))
+    live, r, carry = np.arange(runs), rho.copy(), log_r.copy()  # r, carry: live runs
+    for n0, ys in chunks:
+        # one chunk is held at a time: each array is freed before the next
+        # is made, and before the next chunk is drawn
+        ys = ys.take(live, axis=1)
+        cums = np.take(inc, ys, axis=1)  # (m, steps, live)
+        del ys
+        cums[:, 0] += carry
+        for j in range(1, cums.shape[1]):  # np.cumsum down an inner axis was ~10x slower
+            cums[:, j] += cums[:, j - 1]
+        carry = cums[:, -1].copy()
+        h, k = np.nonzero((cums.max(axis=1) >= logc[:, None]) & (r == 0))
+        if h.size:
+            r[h, k] = n0 + np.argmax(cums[h, :, k] >= logc[h, None], axis=1)
+            stop = np.count_nonzero(r, axis=0) >= m - 1
+            if stop.any():
+                rho[:, live[stop]], log_r[:, live[stop]] = r[:, stop], carry[:, stop]
+                live, r, carry = live[~stop], r[:, ~stop], carry[:, ~stop]
+                if not live.size:
+                    break
+        del cums
+    rho[:, live], log_r[:, live] = r, carry
     return rho, log_r
 
 
@@ -231,8 +260,9 @@ def run_test(hyp: HypothesisSet, levels, stream, horizon: int) -> DecisionRecord
     partial rho.  The log ratios are those at the last observation read."""
     _rng.check_size("horizon", horizon)
     logc = _log_levels(levels, hyp.m)
-    steps = ([hyp.index_of(y)] for y in islice(stream, horizon))
-    rho, log_r = _passages(hyp._increments, logc, steps, 1)
+    obs = enumerate(islice(stream, horizon), 1)
+    chunks = ((n, np.array([[hyp.index_of(y)]])) for n, y in obs)  # one observation each
+    rho, log_r = _passages(hyp._increments, logc, chunks, 1)
     (tau,), (decision,) = _decide(rho)
     tau, decision = (int(tau), int(decision)) if tau >= 0 else (None, None)
     rho = tuple(int(r) if r else None for r in rho[:, 0])
@@ -258,9 +288,14 @@ def simulate_runs(
     horizon: int,
     seed: int,
 ) -> BatchRuns:
-    """Replicated Wald runs under P_true; one substream per replicate block,
-    draws taken for every column each step so results do not depend on which
-    replicates have already stopped."""
+    """Replicated Wald runs under P_true; one substream per replicate block.
+
+    A block is read in chunks of 8 steps, each one ``sample_indices`` call
+    of 8 steps of every run laid out step-major (``rng.step_major``), the
+    draws of one call per step.  Every run's symbol is drawn, so results do
+    not depend on which runs have already stopped; only the runs that are
+    still live are worked on, and no chunk of a block is read once all of
+    its runs have stopped."""
     hyp.check_index(true_index)
     _rng.check_size("the replicate count", reps)
     _rng.check_size("horizon", horizon)
@@ -271,8 +306,8 @@ def simulate_runs(
     # Block by block, not by ``rng.paths``: ``_passages`` stops reading a
     # block once all its runs have stopped; ``paths`` would keep drawing.
     for start, size, gen in _rng.blocks(reps, seed, _rng.STREAM_SPRT, 0):
-        steps = (ys[:, 0] for _n, ys in _rng.walk(draw, size, gen, horizon, chunk=1))
-        rho, _ = _passages(hyp._increments, logc, steps, size)
+        chunks = _rng.step_major(draw, size, gen, horizon, _CHUNK)
+        rho, _ = _passages(hyp._increments, logc, chunks, size)
         tau[start : start + size], decision[start : start + size] = _decide(rho)
     return BatchRuns(tau=tau, decision=decision, censored=tau < 0)
 

@@ -126,6 +126,19 @@ def test_level_vector_validation():
         run_test(BERN_PAIR, (10.0,) * 3, repeat(1.0), 10)
 
 
+@pytest.mark.parametrize(
+    "level", [10.0, np.float64(10.0), np.array(10.0)], ids=["float", "float64", "0-d"]
+)
+def test_scalar_level_serves_every_hypothesis(level):
+    """A 0-d array is one level, as a float is, not a sequence of levels."""
+    runs = simulate_runs(BERN_TRIPLE, level, 0, 10, 16, 0)
+    want = simulate_runs(BERN_TRIPLE, (10.0,) * 3, 0, 10, 16, 0)
+    assert np.array_equal(runs.tau, want.tau) and np.array_equal(runs.decision, want.decision)
+    record = run_test(BERN_PAIR, level, repeat(1.0), 50)
+    assert record == run_test(BERN_PAIR, (10.0, 10.0), repeat(1.0), 50)
+    assert not record.censored
+
+
 def test_three_hypotheses_minmax():
     record = run_test(BERN_TRIPLE, (5.0, 5.0, 5.0), repeat(1.0), 500)
     if not record.censored:

@@ -398,10 +398,20 @@ def test_run_test_empty_stream_matches_reference(name):
         assert got == want == DecisionRecord(None, True, None, (None,) * hyp.m, (0.0,) * hyp.m)
 
 
-# horizons about the 64-step marks, then long ones; the short ones cross a block seam
-SIM_CASES = [(name, h, 4100) for name in RUN_SETS for h in (1, 2, 63, 64, 65)] + [
+# horizons about the 64-step marks and the 8-step chunk seams, then long
+# ones; the short ones cross a block seam
+SIM_CASES = [(name, h, 4100) for name in RUN_SETS for h in (1, 2, 7, 8, 9, 17, 63, 64, 65)] + [
     (name, h, 1001) for name in RUN_SETS for h in (129, 300)
 ] + [("pair", 2048, 1001), ("triple", 2048, 1001)]
+
+
+def _assert_runs_match_reference(hyp, levels, i, reps, horizon, seed):
+    runs = simulate_runs(hyp, levels, i, reps, horizon, seed)
+    tau, decision, censored = ref_simulate_runs(hyp, levels, i, reps, horizon, seed)
+    assert np.array_equal(runs.tau, tau), (levels, i)
+    assert np.array_equal(runs.decision, decision), (levels, i)
+    assert np.array_equal(runs.censored, censored), (levels, i)
+    return runs
 
 
 @pytest.mark.parametrize("name,horizon,reps", SIM_CASES)
@@ -409,8 +419,40 @@ def test_simulate_runs_matches_reference(name, horizon, reps):
     hyp = RUN_SETS[name]
     for levels in _level_cases(hyp.m):
         for i in range(hyp.m):
-            runs = simulate_runs(hyp, levels, i, reps, horizon, 17 + i)
-            tau, decision, censored = ref_simulate_runs(hyp, levels, i, reps, horizon, 17 + i)
-            assert np.array_equal(runs.tau, tau), (name, levels, i)
-            assert np.array_equal(runs.decision, decision), (name, levels, i)
-            assert np.array_equal(runs.censored, censored), (name, levels, i)
+            _assert_runs_match_reference(hyp, levels, i, reps, horizon, 17 + i)
+
+
+# (set, level, true index) where every run stops at a step from 1 to 7, so
+# inside the first 8-step chunk; pair at 1.5 crosses on equality at step 1
+FIRST_CHUNK = [("pair", 1.5, 0), ("pair", 1.5, 1), ("triple", 1.2, 0)]
+
+
+@pytest.mark.parametrize("name,level,i", FIRST_CHUNK)
+def test_simulate_runs_all_stopping_in_the_first_chunk(name, level, i):
+    runs = _assert_runs_match_reference(RUN_SETS[name], level, i, 4100, 64, 17 + i)
+    assert runs.tau.min() == 1 and runs.tau.max() <= 7
+
+
+# On a strict set no log ratio is infinite, so infinite levels stop no run.
+@pytest.mark.parametrize("name", [n for n, hyp in RUN_SETS.items() if hyp.strict])
+def test_simulate_runs_never_stopping(name):
+    hyp = RUN_SETS[name]
+    for i in range(hyp.m):
+        runs = _assert_runs_match_reference(hyp, (math.inf,) * hyp.m, i, 4100, 17, 17 + i)
+        assert runs.censored.all()
+
+
+@pytest.mark.parametrize("name", ["pair", "triple"])
+def test_wald_runs_hold_one_chunk(name):
+    # Levels that never reject keep all 4096 runs of the block live for all
+    # 2048 steps.  The runs may hold one 8-step chunk of the block's symbols
+    # and log ratios, no more than the Ville walk's tile (1.63 MiB).
+    hyp = SETS[name]
+    tracemalloc.start()
+    try:
+        runs = simulate_runs(hyp, math.inf, 0, 4096, 2048, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs.censored.all()
+    assert peak <= 1.63 * 2**20

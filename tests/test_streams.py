@@ -161,12 +161,25 @@ def test_paths_cut_blocks_chunks_and_tiles_in_order():
         assert repr(gens[b].bit_generator.state) == repr(ref.bit_generator.state)
 
 
+def test_step_major_chunks_hold_the_per_step_draws():
+    # 5 paths and 19 steps in chunks of 8: the last chunk holds 3 steps
+    size, n_steps, key = 5, 19, (3, rng.STREAM_SPRT, 0)
+    gen, ref = rng.substream(*key), rng.substream(*key)
+    draw = lambda g, n: g.random(n)
+    chunks = list(rng.step_major(draw, size, gen, n_steps, 8))
+    assert [(n0, x.shape) for n0, x in chunks] == [(1, (8, 5)), (9, (8, 5)), (17, (3, 5))]
+    # x[j, r] is step n0 + j of path r, the draws of a walk one step at a time
+    steps = [x[:, 0] for _n0, x in rng.walk(draw, size, ref, n_steps, chunk=1)]
+    assert np.array_equal(np.concatenate([x for _n0, x in chunks]), np.stack(steps))
+    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+
+
 # Only ``rng.paths`` turns blocks and tiles into path indices, and ``_f32``
 # draws only for it; ``simulate_runs`` walks block by block so that it can
 # stop reading a finished block.
 SRC = Path(__file__).resolve().parents[1] / "src" / "bklab"
 _BANNED = {
-    "lastexit": {"_rng.tiles", "_rng.blocks", "_rng.walk"},
+    "lastexit": {"_rng.tiles", "_rng.blocks", "_rng.walk", "_rng.step_major"},
     "sprt": {"_rng.tiles", "_rng.blocks"},
 }
 
