@@ -6,11 +6,14 @@ fields.  ``run_experiment`` parses a spec (a plain dict, also loadable with
 every subcommand is built from them, one option per field, so both share
 names and defaults.
 Exit codes: 0 pass/consistent, 1 fail/inconsistent, 2 configuration error.
-``_theorem1_rows`` is the one place that plans and pools a matrix's
-simulations (per law, the deviation profile if the series reads one and
-one last-exit walk that serves every level); each draws its seed from the
-root seed and its cell coordinates, so reports are identical for any
-``--threads``.
+``run_experiment`` sets the spec's ``threads`` as the thread count of every
+walk it starts (``rng.threads``): at two or more, each walk of more than one
+tile draws its next tile on a helper thread.  ``_theorem1_rows`` is the one
+place that plans and pools a matrix's simulations (per law, one last-exit
+walk that serves every level and the deviation profile if the series reads
+one); the pool's jobs draw nothing ahead, so pools never nest.  Each
+simulation draws its seed from the root seed and its cell coordinates, so
+reports are identical for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -402,8 +405,8 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
                    a_grid) -> list:
     """The Theorem-1 row of each law under one G, law ``i`` simulated from
     ``seeds[i]``.  Every input is checked before the first simulation starts.
-    The simulations (per law, the deviation profile if the series reads one,
-    then one last-exit walk whose batches serve every level) run on up to
+    The simulations (per law, one last-exit walk whose batches serve every
+    level, and the deviation profile if the series reads one) run on up to
     ``threads`` workers, capped at jobs and cores."""
     g = parse_function_spec(g_spec)
     dists = [parse_dist_spec(s) for s in dist_specs]
@@ -411,26 +414,34 @@ def _theorem1_rows(dist_specs, g_spec, seeds, threads, *, reps, horizon, n_max, 
     for a in levels:
         check_level(a)
     check_profile(n_max, reps_per_block)
-    profiled = [needs_profile(dist, n_max) for dist in dists]
-    jobs = []
-    for dist, seed, profile in zip(dists, seeds, profiled):
+    walks, profiles = [], []
+    for dist, seed in zip(dists, seeds):
         check_centered(dist)
-        if profile:
-            jobs.append(partial(deviation_profile, dist, n_max, reps_per_block,
-                                _rng.derive_seed(seed, 71), stream=71))
         # (72, 0) is the stream that the first level walked on its own
-        jobs.append(partial(last_exit_batches, dist, levels,
-                            PathConfig(horizon, reps, _rng.derive_seed(seed, 72, 0))))
-    # The pool runs simulations, not laws: a law's simulations cost about
-    # the same, while whole laws differ in cost and are few.
+        walks.append(partial(last_exit_batches, dist, levels,
+                             PathConfig(horizon, reps, _rng.derive_seed(seed, 72, 0))))
+        profiles.append(partial(deviation_profile, dist, n_max, reps_per_block,
+                                _rng.derive_seed(seed, 71), stream=71)
+                        if needs_profile(dist, n_max) else None)
+    # Longest first: on the benchmark's matrices a last-exit walk takes 1.4 to
+    # 2.1 times its law's profile, so the pool starts every walk before any
+    # profile, and the job that ends last, alone, is a short one.
+    jobs = walks + [job for job in profiles if job is not None]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = iter(list(pool.map(lambda job: job(), jobs)))
+            results = list(pool.map(_one_thread, jobs))
     else:
-        results = iter([job() for job in jobs])
-    return [_theorem1_row(dist, g, levels, n_max, next(results) if profile else None, next(results))
-            for dist, profile in zip(dists, profiled)]
+        results = [job() for job in jobs]
+    batches, profiled = results[: len(dists)], iter(results[len(dists):])
+    return [_theorem1_row(dist, g, levels, n_max, next(profiled) if profile else None, batch)
+            for dist, profile, batch in zip(dists, profiles, batches)]
+
+
+def _one_thread(job):
+    """Run a pool job with its walks at one thread: it draws nothing ahead."""
+    with _rng.threads(1):
+        return job()
 
 
 def theorem1_row(dist_spec: str, g_spec: str, *, reps: int, horizon: int, n_max: int,
@@ -525,7 +536,9 @@ def run_experiment(spec: dict):
     if kind is None:
         raise ConfigurationError(f"unknown experiment kind {spec.get('kind')!r}")
     fields = {key: value for key, value in spec.items() if key != "kind"}
-    return kind.handler(_parse(_COMMON + kind.fields, fields))
+    v = _parse(_COMMON + kind.fields, fields)
+    with _rng.threads(v.threads):
+        return kind.handler(v)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +590,9 @@ def _run(ctx, spec):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Root seed; cell seeds derive from it.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for matrix simulations (at least 1; capped at simulations and cores).")
+              help="Threads per run (at least 1; capped at the cores): the matrix runs its "
+                   "simulations on up to this many, and at 2 or more any walk outside that pool "
+                   "draws its next tile on a helper thread.")
 @click.option("--stamp", is_flag=True, default=False, help="Add a timestamp field to the report.")
 @click.pass_context
 def main(ctx, out, fmt, seed, threads, stamp):

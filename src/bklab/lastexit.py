@@ -7,11 +7,13 @@ maximal-inequality audit, by Monte Carlo.  The series head is the first
 Every statistic is one loop over ``rng.paths``, which alone turns the
 stream layout into path indices: replicate blocks on their own substreams,
 consumed in step chunks with running sums only, so results are identical
-for a fixed seed however workers schedule the blocks.  Draws fill one
+for a fixed seed however workers schedule the blocks.  Draws fill a reused
 float32 buffer in cache-sized pieces of ``rng.PIECE``.  Every walk holds one
-tile of ``_TILE`` paths by one chunk (2 MiB); the last-exit scan adds
-buffers for one tile by one segment (about 0.9 MB).  Beyond that a call
-holds its per-path state and the sampler's temporaries for one piece.
+tile of ``_TILE`` paths by one chunk (2 MiB), and a walk that draws its next
+tile on a helper thread (``rng.draws_ahead``) two, in two buffers; the
+last-exit scan adds buffers for one tile by one segment (about 0.9 MB).
+Beyond that a call holds its per-path state and the sampler's temporaries
+for one piece.
 
 The last-exit time over infinite time is truncated at the horizon: a
 deviation landing in the final dyadic block [N/2, N] flags the replicate as
@@ -118,13 +120,16 @@ def _f32(dist: Distribution):
     ``rng.PIECE`` draws.  Generator fills are sequential, so the draws and the
     generator state after a call are those of one ``sample_array(gen, n,
     np.float32)`` call, while the sampler's temporaries stay cache-sized.
-    A returned array is valid until the next call."""
-    buf = np.empty(0, dtype=np.float32)
+    A returned array is valid until the next call; for a walk that draws
+    ahead (``rng.draws_ahead``) the calls alternate two buffers, so it stays
+    valid until the call after."""
+    bufs = [np.empty(0, dtype=np.float32)] * (2 if _rng.draws_ahead() else 1)
 
     def draw(gen, n):
-        nonlocal buf
+        buf = bufs.pop(0)
         if buf.size < n:
             buf = np.empty(n, dtype=np.float32)
+        bufs.append(buf)
         out = buf[:n]
         for i in range(0, n, _rng.PIECE):
             out[i : i + _rng.PIECE] = dist.sample_array(gen, min(_rng.PIECE, n - i), np.float32)

@@ -23,9 +23,22 @@ reshaped to ``(steps, size)``, with the same draws because fills
 concatenate.  Any change to the layout changes every simulated report
 for a fixed seed.  ``PIECE`` = 2^16 draws is the size of one sampler call
 that keeps the sampler's temporaries cache-sized.
+
+Threads never change the layout.  ``threads(n)`` sets the thread count of
+the walks started under it, the one value ``paths`` reads; at two or more,
+on a machine with two or more cores, a walk of more than one tile draws the
+next tile on one helper thread while its caller works on the current one.
+The helper makes the same ``draw`` calls on the same generators in the same
+order, so every draw keeps its bits, and it stops when the walk ends,
+however the walk ends.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -91,21 +104,94 @@ def blocks(reps: int, seed: int, *key: int):
     )
 
 
+_THREADS = ContextVar("bklab_threads", default=1)
+
+
+@contextmanager
+def threads(n: int):
+    """Run the walks started inside the block at a thread count of ``n``."""
+    token = _THREADS.set(n)
+    try:
+        yield
+    finally:
+        _THREADS.reset(token)
+
+
+def draws_ahead() -> bool:
+    """Whether a walk of more than one tile started here draws the next tile
+    on a helper thread: at a thread count of two or more on two or more
+    cores.  Its ``draw`` must then leave the tile it returned last valid
+    while it fills the next."""
+    return _THREADS.get() >= 2 and (os.cpu_count() or 1) >= 2
+
+
 def paths(draw, reps: int, n_steps: int, seed: int, *key: int, chunk=CHUNK, rows: int):
     """``(paths, n0, x)`` for each tile of a ``reps``-path walk of ``n_steps``
     steps on stream ``(seed, *key)``, block by block, then chunk by chunk,
     then tile by tile of ``rows`` paths: ``x[r, j]`` is step ``n0 + j`` (steps
     count from 1) of path ``paths.start + r``, drawn as ``draw(gen, k *
     steps).reshape(k, steps)`` for the tile's ``k`` paths.  The draws do not
-    depend on ``rows``, and the caller holds one tile of them at a time.  A
-    tile may be a view of a buffer that ``draw`` reuses, valid until the next
-    tile is drawn."""
-    for start, size, gen in blocks(reps, seed, *key):
+    depend on ``rows``, and the caller holds one tile of them at a time, two
+    when the walk draws ahead (``draws_ahead``).  A tile may be a view of a
+    buffer that ``draw`` reuses, valid until the caller asks for the next
+    tile."""
+    tiles = _tiles(blocks(reps, seed, *key), n_steps, chunk, rows)
+    if (reps > rows or n_steps > chunk) and draws_ahead():
+        yield from _drawn_ahead(draw, tiles)
+    else:
+        for tile, n0, gen, k, steps in tiles:
+            yield tile, n0, draw(gen, k * steps).reshape(k, steps)
+
+
+def _tiles(runs, n_steps, chunk, rows):
+    """``(paths, n0, gen, k, steps)`` for each tile of ``paths``, in order,
+    from the ``(start, size, gen)`` of each block in ``runs``."""
+    for start, size, gen in runs:
         for n0 in range(1, n_steps + 1, chunk):
             steps = min(chunk, n_steps - n0 + 1)
             for r0 in range(start, start + size, rows):
                 k = min(rows, start + size - r0)
-                yield slice(r0, r0 + k), n0, draw(gen, k * steps).reshape(k, steps)
+                yield slice(r0, r0 + k), n0, gen, k, steps
+
+
+def _drawn_ahead(draw, tiles):
+    """The tiles of ``paths``, each drawn on one helper thread while the
+    caller works on the tile before it.  The caller plans the tiles and
+    hands the helper one at a time, in order; an error raised in ``draw`` is
+    raised to the caller, and the helper is stopped and joined when the walk
+    ends, is closed, or fails."""
+    from queue import SimpleQueue  # only a walk that draws ahead needs it
+
+    todo, drawn = SimpleQueue(), SimpleQueue()
+
+    def helper():
+        for tile, n0, gen, k, steps in iter(todo.get, None):
+            try:
+                drawn.put((tile, n0, draw(gen, k * steps).reshape(k, steps)))
+            except BaseException as exc:  # the caller raises it; no error leaves it waiting
+                drawn.put(exc)
+
+    def ask():
+        tile = next(tiles, None)
+        if tile is not None:
+            todo.put(tile)
+        return tile
+
+    thread = threading.Thread(target=helper, name="bklab-draw-ahead", daemon=True)
+    thread.start()
+    try:
+        pending = ask()
+        while pending is not None:
+            out = drawn.get()
+            if isinstance(out, BaseException):
+                raise out
+            # The caller is done with the tile before ``out``, so the helper
+            # may draw the next one over it.
+            pending = ask()
+            yield out
+    finally:
+        todo.put(None)
+        thread.join()
 
 
 def walk(draw, size: int, gen: Generator, n_steps: int, chunk: int = CHUNK):

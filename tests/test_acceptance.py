@@ -305,8 +305,10 @@ def test_criterion_8_sequential_test():
 
 
 def test_criterion_9_determinism_across_threads():
-    """Representative specs of every report kind, re-run with a different
-    thread count: payloads must match byte for byte.
+    """Representative specs of every report kind, re-run at --threads 1, 2
+    and 4: payloads must match byte for byte.  At 2 and 4 the matrix pools
+    its simulations and every other walk of more than one tile (the 5000-path
+    last-exit walk crosses a replicate block) draws ahead on a helper thread.
 
     Determinism does not depend on the replicate scale (all work units sit on
     counter-based substreams), so reduced sizes keep this check quick.
@@ -328,7 +330,15 @@ def test_criterion_9_determinism_across_threads():
              "--horizon", "256", "--reps", "2000"],
             ["series", "--dist", "gaussian:sigma=1", "--g", "power:r=1", "--a", "0.5",
              "--n-max", "512", "--reps-per-block", "1000"],
+            ["last-exit", "--dist", "gaussian:sigma=1", "--g", "power:r=1", "--a", "0.5",
+             "--horizon", "256", "--reps", "5000"],
             ["bounds", "--prop", "1", "--dist", "rademacher", "--g", "power:r=2",
+             "--horizon", "256", "--reps", "1000"],
+            ["bounds", "--prop", "2", "--dist", "rademacher", "--g", "power:r=2",
+             "--n-max", "256", "--reps-per-block", "500"],
+            ["bounds", "--prop", "3", "--dist", "uniform:w=1", "--g", "powlog:r=1,s=1",
+             "--horizon", "256", "--reps", "1000", "--n-max", "256", "--reps-per-block", "500"],
+            ["bounds", "--prop", "sym", "--dist", "rademacher", "--g", "power:r=1",
              "--horizon", "256", "--reps", "1000"],
             ["counterexample", "--g", "exp:b=1", "--prefix", "2000"],
             ["sprt", "run", "--config", conf_path],
@@ -339,8 +349,9 @@ def test_criterion_9_determinism_across_threads():
              "--horizon", "256", "--n-max", "256", "--reps-per-block", "500"],
         ]
         for case in cases:
-            out1 = runner.invoke(main, ["--seed", "7", "--threads", "1"] + case)
-            out4 = runner.invoke(main, ["--seed", "7", "--threads", "4"] + case)
-            assert out1.exit_code == out4.exit_code, case
-            assert out1.output == out4.output, case
-    _ok(9, f"{len(cases)} report kinds byte-identical across --threads 1 vs 4")
+            out1, *others = (runner.invoke(main, ["--seed", "7", "--threads", str(t)] + case)
+                             for t in (1, 2, 4))
+            for out in others:
+                assert out.exit_code == out1.exit_code, case
+                assert out.output == out1.output, case
+    _ok(9, f"{len(cases)} report cases byte-identical across --threads 1, 2 and 4")

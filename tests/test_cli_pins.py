@@ -13,10 +13,12 @@ from a table adds and removes none.
 
 import hashlib
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
+from bklab import rng
 from bklab.cli import main, theorem1_row
 from bklab.report import render_json
 
@@ -127,6 +129,20 @@ def test_cli_report_digest(files, name, fmt):
     assert got == pins[fmt], res.output
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two cores for ``rng.draws_ahead``, whatever the machine has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_last_exit_digest_when_drawing_ahead(two_cores):
+    # At --threads 2 the 2000-path walk (eight tiles) draws each next tile on
+    # a helper thread, with the recorded digest.
+    args, pins = CASES["last-exit"]
+    res = CliRunner().invoke(main, ["--seed", "7", "--threads", "2"] + args)
+    assert (hashlib.sha256(res.stdout_bytes).hexdigest(), res.exit_code) == pins["json"]
+
+
 def _commands(group, prefix=""):
     for name, cmd in group.commands.items():
         if hasattr(cmd, "commands"):
@@ -200,4 +216,14 @@ ROW_PINS = {
 @pytest.mark.parametrize("dist", list(ROW_PINS))
 def test_theorem1_row_digest(dist):
     row = theorem1_row(dist, "power:r=1", **ROW_SIZES)
+    assert hashlib.sha256(render_json(row)).hexdigest() == ROW_PINS[dist]
+
+
+@pytest.mark.parametrize("dist", list(ROW_PINS))
+def test_theorem1_row_digest_when_drawing_ahead(dist, two_cores):
+    # The row's simulations run one after another in the caller, so at a
+    # thread count of 2 each of its walks draws ahead on a helper thread.
+    with rng.threads(2):
+        assert rng.draws_ahead()
+        row = theorem1_row(dist, "power:r=1", **ROW_SIZES)
     assert hashlib.sha256(render_json(row)).hexdigest() == ROW_PINS[dist]

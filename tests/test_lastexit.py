@@ -1,9 +1,11 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bklab import rng
 from bklab.distributions import (
     Gaussian,
     TwoSidedPareto,
@@ -284,19 +286,25 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("ahead", [False, True], ids=["sequential", "draw-ahead"])
 @pytest.mark.parametrize("dist", [Gaussian(1.0), TwoSidedPareto(1.5)], ids=["gaussian", "pareto2"])
-def test_simulations_hold_one_step_chunk(dist):
+def test_simulations_hold_one_step_chunk(dist, ahead, monkeypatch):
     # One chunk is 4096 paths by 2048 float32 steps for last-exit, the tail
     # and the Levy check, 2000 by 2048 for the profile; a simulation may add
     # little beyond it.  Last-exit holds one 256-path tile by one chunk (1/16
-    # chunk) and scan buffers for one tile by one 256-step segment.
+    # chunk) and scan buffers for one tile by one 256-step segment.  A walk
+    # that draws ahead holds one more tile, the one its helper thread draws.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    extra = 256 * 2048 * 4 if ahead else 0
     cfg = PathConfig(2048, 4096, 1)
-    peak = _peak_bytes(lambda: last_exit_samples(dist, 0.25, cfg))
-    assert peak < 0.3 * 4096 * 2048 * 4
-    peak = _peak_bytes(lambda: deviation_profile(dist, 4096, 2000, 1))
-    assert peak < 1.25 * 2000 * 2048 * 4
-    # the Levy walk widens each float32 tile into one reused float64 buffer
-    peak = _peak_bytes(lambda: levy_maximal_check(dist, 2048, 60.0, 4096, 1))
-    assert peak < 0.5 * 4096 * 2048 * 4
-    peak = _peak_bytes(lambda: tail_prob_mean(dist, 2048, 0.05, 4096, 1))
-    assert peak < 1.25 * 4096 * 2048 * 4
+    with rng.threads(2 if ahead else 1):
+        assert rng.draws_ahead() == ahead
+        peak = _peak_bytes(lambda: last_exit_samples(dist, 0.25, cfg))
+        assert peak < 0.3 * 4096 * 2048 * 4 + extra
+        peak = _peak_bytes(lambda: deviation_profile(dist, 4096, 2000, 1))
+        assert peak < 1.25 * 2000 * 2048 * 4 + extra
+        # the Levy walk widens each float32 tile into one reused float64 buffer
+        peak = _peak_bytes(lambda: levy_maximal_check(dist, 2048, 60.0, 4096, 1))
+        assert peak < 0.5 * 4096 * 2048 * 4 + extra
+        peak = _peak_bytes(lambda: tail_prob_mean(dist, 2048, 0.05, 4096, 1))
+        assert peak < 1.25 * 4096 * 2048 * 4 + extra

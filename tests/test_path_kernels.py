@@ -25,6 +25,7 @@ walk for a grid of levels; each level's batch must have the bits of
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -370,3 +371,38 @@ def test_levy_maximal_check_matches_reference(law, m):
     t = math.sqrt(m)
     got = levy_maximal_check(dist, m, t, REPS, 5)
     assert repr(got) == repr(ref_levy_maximal_check(dist, m, t, REPS, 5))
+
+
+# Two blocks whose second holds two full tiles and a short one, and a
+# horizon whose last chunk is 5 steps long.
+AHEAD_REPS, AHEAD_HORIZON = 4096 + 2 * _TILE + 188, 2 * 2048 + 5
+
+
+@pytest.mark.parametrize("law", ["gaussian-1", "pareto2-1.5", "rademacher"])
+def test_kernels_give_the_same_bits_when_drawing_ahead(law, monkeypatch):
+    # A walk that draws each next tile on a helper thread makes the same
+    # draw calls in the same order, and the tile under scan stays valid
+    # while the next one is drawn, so every statistic keeps its bits.
+    dist, n = LAWS[law], AHEAD_HORIZON
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    walks = []
+    drawn_ahead = rng._drawn_ahead
+    monkeypatch.setattr(rng, "_drawn_ahead", lambda *a: walks.append(None) or drawn_ahead(*a))
+
+    def run():
+        batches = last_exit_batches(dist, (0.5, 0.25, 1.0), PathConfig(n, AHEAD_REPS, 9))
+        prof = deviation_profile(dist, n, AHEAD_REPS, 9)
+        tail = tail_prob_mean(dist, n, 1.0 / math.sqrt(n), AHEAD_REPS, 9)
+        levy = levy_maximal_check(dist, n, math.sqrt(n), AHEAD_REPS, 9)
+        assert not (tail.exact or levy.exact)
+        arrays = [b.values for b in batches] + [b.censored for b in batches]
+        return arrays + [prof.small_values, prof.endpoint_values], repr(tail), repr(levy)
+
+    plain = run()
+    assert not walks
+    with rng.threads(2):
+        ahead = run()
+    assert len(walks) == 4
+    for got, want in zip(ahead[0], plain[0]):
+        _same_bits(got, want)
+    assert ahead[1:] == plain[1:]
